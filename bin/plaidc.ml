@@ -438,54 +438,58 @@ let compile_cmd =
       Format.eprintf "%s: %a@." file Plaid_ir.Parse.pp_error e;
       1
     | Ok kernel -> (
-      let dfg = Plaid_ir.Lower.lower kernel in
-      Format.printf "%a@." Plaid_ir.Dfg.pp_stats dfg;
-      let dfg, opt_stats = Plaid_ir.Opt.optimize dfg in
-      Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
-      with_jobs jobs @@ fun pool ->
-      let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      let mapping =
-        match arch with
-        | "plaid" ->
-          (Plaid_core.Hier_mapper.map ~plaid:(Plaid_exp.Ctx.plaid2 ctx) ~seed dfg)
-            .Plaid_core.Hier_mapper.mapping
-        | "st" ->
-          (Plaid_mapping.Driver.best_of ~pool
-             ~algos:
-               [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-                 Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-             ~arch:(Plaid_exp.Ctx.st ctx) ~dfg ~seed ())
-            .Plaid_mapping.Driver.mapping
-        | other -> die_unknown ~what:"mapper" other [ "plaid"; "st" ]
-      in
-      match mapping with
-      | None ->
-        Printf.eprintf "mapper found no valid mapping\n";
+      match Plaid_ir.Lower.lower kernel with
+      | exception Invalid_argument msg ->
+        Printf.eprintf "%s: %s\n" file msg;
         1
-      | Some m ->
-        report_mapping ctx kernel.Plaid_ir.Kernel.name m;
-        (* unspecified live-ins default to 3 so verification always runs *)
-        let params =
-          List.map
-            (fun name ->
-              (name, try List.assoc name param_values with Not_found -> 3))
-            (Plaid_ir.Parse.params kernel)
+      | dfg ->
+        Format.printf "%a@." Plaid_ir.Dfg.pp_stats dfg;
+        let dfg, opt_stats = Plaid_ir.Opt.optimize dfg in
+        Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
+        with_jobs jobs @@ fun pool ->
+        let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
+        let mapping =
+          match arch with
+          | "plaid" ->
+            (Plaid_core.Hier_mapper.map ~plaid:(Plaid_exp.Ctx.plaid2 ctx) ~seed dfg)
+              .Plaid_core.Hier_mapper.mapping
+          | "st" ->
+            (Plaid_mapping.Driver.best_of ~pool
+               ~algos:
+                 [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
+                   Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
+               ~arch:(Plaid_exp.Ctx.st ctx) ~dfg ~seed ())
+              .Plaid_mapping.Driver.mapping
+          | other -> die_unknown ~what:"mapper" other [ "plaid"; "st" ]
         in
-        let spm = Plaid_sim.Spm.of_kernel kernel ~params ~seed:77 in
-        let sim_ok =
-          match Plaid_sim.Cycle_sim.verify m spm with
-          | Ok _ ->
-            Printf.printf "simulation: bit-exact vs reference\n";
-            true
-          | Error msg ->
-            Printf.eprintf "simulation MISMATCH: %s\n" msg;
-            false
-        in
-        (if show_config then
-           match Plaid_mapping.Bitstream.generate m with
-           | Ok bs -> Format.printf "%a@." Plaid_mapping.Bitstream.pp_listing bs
-           | Error e -> Printf.printf "bitstream error: %s\n" e);
-        if sim_ok then 0 else 1)
+        match mapping with
+        | None ->
+          Printf.eprintf "mapper found no valid mapping\n";
+          1
+        | Some m ->
+          report_mapping ctx kernel.Plaid_ir.Kernel.name m;
+          (* unspecified live-ins default to 3 so verification always runs *)
+          let params =
+            List.map
+              (fun name ->
+                (name, try List.assoc name param_values with Not_found -> 3))
+              (Plaid_ir.Parse.params kernel)
+          in
+          let spm = Plaid_sim.Spm.of_kernel kernel ~params ~seed:77 in
+          let sim_ok =
+            match Plaid_sim.Cycle_sim.verify m spm with
+            | Ok _ ->
+              Printf.printf "simulation: bit-exact vs reference\n";
+              true
+            | Error msg ->
+              Printf.eprintf "simulation MISMATCH: %s\n" msg;
+              false
+          in
+          (if show_config then
+             match Plaid_mapping.Bitstream.generate m with
+             | Ok bs -> Format.printf "%a@." Plaid_mapping.Bitstream.pp_listing bs
+             | Error e -> Printf.printf "bitstream error: %s\n" e);
+          if sim_ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a kernel source file end to end")

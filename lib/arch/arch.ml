@@ -57,6 +57,8 @@ type t = {
   f_stuck : int list array;     (* stuck configuration entries per resource *)
   rt_cache : route_tables option Atomic.t;
       (* never compared or fingerprinted; fresh per fault set *)
+  fp_cache : string option Atomic.t;
+      (* digest of [fingerprint_lines]; fresh per fault set and config *)
 }
 
 type builder = {
@@ -146,7 +148,7 @@ let freeze b =
   { name = b.bname; resources; links; out_links; in_links; fus; mem_fus;
     config = b.bconfig; allow_fu_routethrough = b.broutethrough;
     faults = []; f_res = Array.make n false; f_stuck = Array.make n [];
-    rt_cache = Atomic.make None }
+    rt_cache = Atomic.make None; fp_cache = Atomic.make None }
 
 let resource t id = t.resources.(id)
 
@@ -231,10 +233,10 @@ let set_faults t fault_list =
     t.links;
   Array.iteri (fun i l -> out_links.(i) <- List.rev l) out_links;
   Array.iteri (fun i l -> in_links.(i) <- List.rev l) in_links;
-  (* Adjacency changed, so any cached routing tables are stale; the faulted
-     copy gets its own (empty) cache rather than sharing the pristine one. *)
+  (* Adjacency and fault set changed, so both caches are stale; the faulted
+     copy gets its own (empty) caches rather than sharing the pristine ones. *)
   { t with faults = fault_list; f_res; f_stuck; out_links; in_links;
-    rt_cache = Atomic.make None }
+    rt_cache = Atomic.make None; fp_cache = Atomic.make None }
 
 let fu_supports t id op =
   (not t.f_res.(id))
@@ -318,18 +320,22 @@ let build_route_tables t =
   { rt_n = n; rt_hop; rt_lat; rt_adj_idx; rt_adj_dst; rt_adj_lat }
 
 (* Lazy shared build: losing a publication race only wastes the duplicate
-   work — both results are identical pure functions of the adjacency. *)
-let route_tables t =
-  match Atomic.get t.rt_cache with
-  | Some rt -> rt
+   work — both results are identical pure functions of the value. *)
+let cached cell build =
+  match Atomic.get cell with
+  | Some v -> v
   | None ->
-    let rt = build_route_tables t in
-    if Atomic.compare_and_set t.rt_cache None (Some rt) then rt
-    else (match Atomic.get t.rt_cache with Some rt -> rt | None -> rt)
+    let v = build () in
+    if Atomic.compare_and_set cell None (Some v) then v
+    else (match Atomic.get cell with Some v -> v | None -> v)
+
+let route_tables t = cached t.rt_cache (fun () -> build_route_tables t)
 
 let config_bits_per_entry t = t.config.compute_bits + t.config.comm_bits
 
-let set_config t config = { t with config }
+(* The routing tables depend only on the adjacency, so they are shared; the
+   config profile is part of the fingerprint, so its digest starts afresh. *)
+let set_config t config = { t with config; fp_cache = Atomic.make None }
 
 (* Canonical structural dump for cache fingerprinting: everything a mapper
    can observe — resources, links, config profile, routethrough policy, and
@@ -361,6 +367,10 @@ let fingerprint_lines t =
   List.iter (fun f -> pf "fault %s" f)
     (List.sort compare (List.map (fault_to_string t) t.faults));
   List.rev !lines
+
+let fingerprint t =
+  cached t.fp_cache (fun () ->
+      Digest.to_hex (Digest.string (String.concat "\n" (fingerprint_lines t))))
 
 let pp_summary fmt t =
   let count k = Array.to_list t.resources |> List.filter (fun r -> r.kind = k) |> List.length in

@@ -97,6 +97,8 @@ type t = private {
   f_stuck : int list array;            (** stuck config entries per resource *)
   rt_cache : route_tables option Atomic.t;
       (** lazily built routing tables; derived state, never fingerprinted *)
+  fp_cache : string option Atomic.t;
+      (** lazily computed {!fingerprint}; derived state *)
 }
 
 (** {1 Building} *)
@@ -150,7 +152,9 @@ val config_bits_per_entry : t -> int
 
 val set_config : t -> config_profile -> t
 (** Replace the configuration profile (builders compute bit counts from the
-    frozen structure, then attach them). *)
+    frozen structure, then attach them).  The copy shares the routing
+    tables but starts with an empty {!fingerprint} cache: the profile is
+    part of the fingerprint. *)
 
 (** {1 Faults} *)
 
@@ -159,8 +163,9 @@ val set_faults : t -> fault list -> t
     from [out_links]/[in_links]; dead resources are flagged in [f_res];
     {!fu_supports} turns false for dead FUs and {!capacity} counts only
     live issue slots, so every mapper sees the degraded fabric without
-    further plumbing.  @raise Invalid_argument for out-of-range ids, kind
-    mismatches, or links that do not exist. *)
+    further plumbing.  The copy starts with empty {!route_tables} and
+    {!fingerprint} caches.  @raise Invalid_argument for out-of-range ids,
+    kind mismatches, or links that do not exist. *)
 
 val faults : t -> fault list
 
@@ -187,5 +192,12 @@ val fingerprint_lines : t -> string list
     attached fault set (sorted).  Two architectures with equal lines are
     indistinguishable to every mapper; the mapping-cache fingerprints
     ({!Plaid_serve.Fingerprint}) digest exactly this. *)
+
+val fingerprint : t -> string
+(** Lowercase-hex MD5 of [String.concat "\n" (fingerprint_lines t)].
+    Computed once per value on first use and cached on it — repeated calls
+    are O(1) and safe from any domain.  {!set_faults} and {!set_config}
+    return copies with an empty cache, so each gets the digest of its own
+    lines. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -10,7 +10,7 @@ let digest_hex s = Digest.to_hex (Digest.string s)
 
 let dfg g = digest_hex (String.concat "\n" (Plaid_mapping.Mapfile.dfg_to_lines g))
 
-let arch a = digest_hex (String.concat "\n" (Plaid_arch.Arch.fingerprint_lines a))
+let arch = Plaid_arch.Arch.fingerprint
 
 let key ~dfg:g ~arch:a ~mapper ~seed =
   digest_hex

@@ -34,7 +34,11 @@ val dfg : Plaid_ir.Dfg.t -> string
 (** Digest of the DFG's canonical line form. *)
 
 val arch : Plaid_arch.Arch.t -> string
-(** Digest of the architecture's structural dump, fault set included. *)
+(** Digest of the architecture's structural dump, fault set included:
+    {!Plaid_arch.Arch.fingerprint}, computed once per value and cached on
+    it.  {!Plaid_arch.Arch.set_faults} and {!Plaid_arch.Arch.set_config}
+    return values with a fresh digest, so a key always reflects the
+    value's own faults and config profile. *)
 
 val key :
   dfg:Plaid_ir.Dfg.t ->

@@ -186,45 +186,42 @@ let mapper_name ~pcu =
 
 (* Resolve a request down to (key, compute) — everything except the mapping
    itself, so batches can dedupe before burning a worker. *)
-let prepare t = function
+let prepare t req =
+  let fabric name =
+    match List.assoc_opt name t.fabrics with
+    | Some f -> Ok f
+    | None ->
+      Error
+        (Printf.sprintf "unknown architecture %s (choose from %s)" name
+           (String.concat ", " arch_names))
+  in
+  let keyed ~arch ~pcu ~seed dfg =
+    let key = Fingerprint.key ~dfg ~arch ~mapper:(mapper_name ~pcu) ~seed in
+    Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch ~pcu ~dfg ~seed))
+  in
+  match req with
   | Map { kernel; arch; seed; _ } -> (
     match Plaid_workloads.Suite.find kernel with
     | exception Not_found -> Error (Printf.sprintf "unknown kernel %s" kernel)
-    | entry -> (
-      match List.assoc_opt arch t.fabrics with
-      | None ->
-        Error
-          (Printf.sprintf "unknown architecture %s (choose from %s)" arch
-             (String.concat ", " arch_names))
-      | Some (a, pcu) ->
-        let dfg = Plaid_workloads.Suite.dfg entry in
-        let key = Fingerprint.key ~dfg ~arch:a ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch:a ~pcu ~dfg ~seed))))
+    | entry ->
+      let* a, pcu = fabric arch in
+      keyed ~arch:a ~pcu ~seed (Plaid_workloads.Suite.dfg entry))
   | Compile { file; arch; seed; _ } -> (
     match Plaid_ir.Parse.kernel_of_file file with
     | exception Sys_error msg -> Error msg
     | Error e -> Error (Format.asprintf "%s: %a" file Plaid_ir.Parse.pp_error e)
     | Ok kernel -> (
-      match List.assoc_opt arch t.fabrics with
-      | None ->
-        Error
-          (Printf.sprintf "unknown architecture %s (choose from %s)" arch
-             (String.concat ", " arch_names))
-      | Some (a, pcu) ->
-        let dfg, _ = Plaid_ir.Opt.optimize (Plaid_ir.Lower.lower kernel) in
-        let key = Fingerprint.key ~dfg ~arch:a ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch:a ~pcu ~dfg ~seed))))
+      let* a, pcu = fabric arch in
+      match Plaid_ir.Lower.lower kernel with
+      | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" file msg)
+      | dfg -> keyed ~arch:a ~pcu ~seed (fst (Plaid_ir.Opt.optimize dfg))))
   | Case { file; _ } -> (
     match Plaid_check.Case.load ~path:file with
     | Error e -> Error (Printf.sprintf "%s: %s" file e)
     | Ok c -> (
       match Plaid_check.Case.build c with
       | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" file msg)
-      | arch, pcu ->
-        let dfg = c.Plaid_check.Case.dfg in
-        let seed = c.Plaid_check.Case.seed in
-        let key = Fingerprint.key ~dfg ~arch ~mapper:(mapper_name ~pcu) ~seed in
-        Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch ~pcu ~dfg ~seed))))
+      | arch, pcu -> keyed ~arch ~pcu ~seed:c.Plaid_check.Case.seed c.Plaid_check.Case.dfg))
   | Stats | Metrics | Health | Evict _ | Quit -> Error "not a compile request"
 
 let deadline_of = function

@@ -90,3 +90,7 @@ val write_response : out_channel -> response -> unit
 
 val arch_names : string list
 (** Fabric names [map] accepts — the same set [plaidc map -a] resolves. *)
+
+val build_fabric : string -> (Plaid_arch.Arch.t * Plaid_core.Pcu.t option) option
+(** A fresh copy of the fabric {!create} builds for a name in {!arch_names}
+    (with its PCU view for the Plaid fabrics); [None] for any other name. *)

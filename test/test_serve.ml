@@ -107,6 +107,40 @@ let qc_fingerprint_salts =
       k <> F.key ~dfg:c.dfg ~arch ~mapper:"b" ~seed:7
       && k <> F.key ~dfg:c.dfg ~arch ~mapper:"a" ~seed:8)
 
+let lines_digest a = F.digest_hex (String.concat "\n" (Plaid_arch.Arch.fingerprint_lines a))
+
+(* The digest is cached on the value; caching must not change a byte of
+   any key, before or after the cache fills. *)
+let test_arch_digest_matches_lines () =
+  List.iter
+    (fun name ->
+      let a, _ = Option.get (Service.build_fabric name) in
+      let want = lines_digest a in
+      check (name ^ ": first use") (F.arch a = want) true;
+      check (name ^ ": cached") (F.arch a = want) true)
+    Service.arch_names
+
+(* Every derived value re-describes itself: a copy with another config
+   depth or fault set must not inherit its parent's cached digest. *)
+let test_arch_digest_invalidated () =
+  let module A = Plaid_arch.Arch in
+  let a, _ = Option.get (Service.build_fabric "st") in
+  let parent = F.arch a in
+  let deeper = A.set_config a { a.A.config with A.entries = a.A.config.A.entries + 1 } in
+  check "set_config: own lines" (F.arch deeper = lines_digest deeper) true;
+  check "set_config: differs from parent" (F.arch deeper <> parent) true;
+  let faulted = A.set_faults a [ A.Dead_fu a.A.fus.(0) ] in
+  check "set_faults: own lines" (F.arch faulted = lines_digest faulted) true;
+  check "set_faults: differs from parent" (F.arch faulted <> parent) true;
+  check "parent unchanged" (F.arch a = lines_digest a) true
+
+let test_arch_digest_racing_domains () =
+  let a, _ = Option.get (Service.build_fabric "plaid") in
+  let digests =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> F.arch a)) |> List.map Domain.join
+  in
+  List.iter (fun d -> check "every domain agrees" (d = lines_digest a) true) digests
+
 (* ------------------------------------------------------------------ store *)
 
 let test_store_roundtrip () =
@@ -325,6 +359,24 @@ let test_service_errors () =
   | Service.Failure _ -> ()
   | Service.Payload _ -> Alcotest.fail "unreadable case file must fail"
 
+(* A kernel that parses but fails lowering is a request error, not a
+   crash: the server answers it and keeps serving. *)
+let test_service_lowering_error () =
+  let _, svc = dir_service () in
+  let file = temp_dir () ^ ".plc" in
+  write_file file
+    "kernel k1 trip 8 { carry acc = 0; acc = acc + x[i]; acc = acc + 1; out[0] = acc; }\n";
+  let req = Service.Compile { file; arch = "st"; seed = 2025; deadline_ms = None } in
+  (match Service.handle svc req with
+  | Service.Failure msg ->
+    Alcotest.(check string)
+      "lowering error named" (file ^ ": Lower k1: carry acc assigned twice") msg
+  | Service.Payload _ -> Alcotest.fail "a kernel that fails lowering must fail");
+  Sys.remove file;
+  match Service.handle svc Service.Health with
+  | Service.Payload _ -> ()
+  | Service.Failure msg -> Alcotest.failf "service stopped answering: %s" msg
+
 let test_service_parse () =
   let bad l =
     match Service.parse_request l with
@@ -421,6 +473,11 @@ let suites =
         Alcotest.test_case "key well-formed and stable" `Quick test_key_well_formed;
         Test_qc.to_alcotest qc_fingerprint_injective;
         Test_qc.to_alcotest qc_fingerprint_salts;
+        Alcotest.test_case "arch digest equals its lines" `Quick test_arch_digest_matches_lines;
+        Alcotest.test_case "arch digest fresh per config and faults" `Quick
+          test_arch_digest_invalidated;
+        Alcotest.test_case "arch digest agrees across domains" `Quick
+          test_arch_digest_racing_domains;
       ] );
     ( "serve-store",
       [
@@ -443,6 +500,7 @@ let suites =
           test_service_roundtrip_simulates;
         Alcotest.test_case "deadlines trip but still cache" `Slow test_service_deadline;
         Alcotest.test_case "request errors" `Quick test_service_errors;
+        Alcotest.test_case "lowering errors are answered" `Quick test_service_lowering_error;
         Alcotest.test_case "protocol parsing" `Quick test_service_parse;
         Alcotest.test_case "metrics and health verbs" `Quick
           test_service_metrics_and_health_verbs;

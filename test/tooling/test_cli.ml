@@ -13,6 +13,9 @@
      second pass (no recompute, byte-identical payload, equal to what
      `plaidc map -o` writes), `plaidc cache` must report/verify/heal the
      store, and `plaidc --version` must carry the fingerprint salt;
+   - a kernel that parses but fails lowering must be one stderr line and
+     exit 1 from `plaidc compile`, and an `err` reply from `plaidc serve`,
+     which keeps answering;
    - `plaidc faults` must emit a valid JSON campaign report that is
      byte-identical for -j 1 and -j 4, exit 1 with MISMATCH lines on
      stderr when unrepaired faulty mappings mis-simulate, and exit 0 in
@@ -264,6 +267,33 @@ let () =
   (* unknown cache action: uniform exit 2 *)
   let rc = sh "%s cache frobnicate > cbad.out 2> cbad.err" plaidc in
   if rc <> 2 then fail "unknown cache action: expected exit 2, got %d" rc
+
+(* --- kernels that parse but fail lowering -------------------------------- *)
+
+let () =
+  let oc = open_out "twice.plc" in
+  output_string oc
+    "kernel k1 trip 8 { carry acc = 0; acc = acc + x[i]; acc = acc + 1; out[0] = acc; }\n";
+  close_out oc;
+  let want = "twice.plc: Lower k1: carry acc assigned twice" in
+  (* compile: one stderr line and exit 1, like a parse error *)
+  let rc = sh "%s compile -f twice.plc > twice.out 2> twice.err" plaidc in
+  if rc <> 1 then fail "kernel failing lowering: expected exit 1, got %d" rc;
+  if String.trim (read_file "twice.err") <> want then
+    fail "kernel failing lowering: stderr %S, want %S" (read_file "twice.err") want;
+  (* serve: a request error, and the next request is still answered *)
+  let oc = open_out "twice.req" in
+  output_string oc "compile file=twice.plc arch=st\nhealth\n";
+  close_out oc;
+  let rc =
+    sh "%s serve --cache-dir twicecache < twice.req > twice_srv.out 2> twice_srv.err" plaidc
+  in
+  if rc <> 0 then fail "serve on a kernel failing lowering exited %d" rc;
+  let out = read_file "twice_srv.out" in
+  if not (contains ~needle:("err " ^ want ^ "\n") out) then
+    fail "serve did not answer the lowering error: %S" out;
+  if not (contains ~needle:"ok uptime_s=" out) then
+    fail "serve stopped answering after a lowering error"
 
 (* --- service telemetry verbs ------------------------------------------- *)
 
