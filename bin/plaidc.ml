@@ -218,16 +218,9 @@ let map_cmd =
         | Ok built -> (
           let dfg = Plaid_workloads.Suite.dfg entry in
           let mapping =
-            match built.Plaid_core.Fabrics.pcu with
-            | Some pcu ->
-              (Plaid_core.Hier_mapper.map ~plaid:pcu ~seed dfg).Plaid_core.Hier_mapper.mapping
-            | None ->
-              (Plaid_mapping.Driver.best_of ~pool
-                 ~algos:
-                   [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-                     Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-                 ~arch:built.Plaid_core.Fabrics.arch ~dfg ~seed ())
-                .Plaid_mapping.Driver.mapping
+            Plaid_serve.Compile.run ~pool
+              (Plaid_serve.Compile.for_fabric built.Plaid_core.Fabrics.pcu)
+              ~arch:built.Plaid_core.Fabrics.arch ~dfg ~seed
           in
           maybe_report ?mapping built.Plaid_core.Fabrics.arch;
           match mapping with
@@ -448,20 +441,15 @@ let compile_cmd =
         Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
         with_jobs jobs @@ fun pool ->
         let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-        let mapping =
+        let mapper, target =
           match arch with
           | "plaid" ->
-            (Plaid_core.Hier_mapper.map ~plaid:(Plaid_exp.Ctx.plaid2 ctx) ~seed dfg)
-              .Plaid_core.Hier_mapper.mapping
-          | "st" ->
-            (Plaid_mapping.Driver.best_of ~pool
-               ~algos:
-                 [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-                   Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-               ~arch:(Plaid_exp.Ctx.st ctx) ~dfg ~seed ())
-              .Plaid_mapping.Driver.mapping
+            let plaid = Plaid_exp.Ctx.plaid2 ctx in
+            (Plaid_serve.Compile.Hier (plaid, Default), plaid.Plaid_core.Pcu.arch)
+          | "st" -> (Best_of Default, Plaid_exp.Ctx.st ctx)
           | other -> die_unknown ~what:"mapper" other [ "plaid"; "st" ]
         in
+        let mapping = Plaid_serve.Compile.run ~pool mapper ~arch:target ~dfg ~seed in
         match mapping with
         | None ->
           Printf.eprintf "mapper found no valid mapping\n";

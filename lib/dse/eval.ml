@@ -11,10 +11,9 @@ type t = {
   quick : bool;
   pool : Plaid_util.Pool.t option;
   cache : Plaid_serve.Cache.t option;
-  lock : Mutex.t;
-  built : (string, Space.built) Hashtbl.t;
-  dfgs : (string, Plaid_ir.Dfg.t) Hashtbl.t;
-  outcomes : (string, kernel_outcome) Hashtbl.t;
+  built : (string, Space.built) Plaid_util.Memo.t;
+  dfgs : (string, Plaid_ir.Dfg.t) Plaid_util.Memo.t;
+  outcomes : (string, kernel_outcome) Plaid_util.Memo.t;
 }
 
 and kernel_outcome = {
@@ -27,9 +26,9 @@ and kernel_outcome = {
 }
 
 let create ?(seed = 2025) ?(outer = 16) ?(quick = false) ?pool ?cache () =
-  { seed; outer; quick; pool; cache; lock = Mutex.create ();
-    built = Hashtbl.create 32; dfgs = Hashtbl.create 32;
-    outcomes = Hashtbl.create 256 }
+  { seed; outer; quick; pool; cache;
+    built = Plaid_util.Memo.create 32; dfgs = Plaid_util.Memo.create 32;
+    outcomes = Plaid_util.Memo.create 256 }
 
 let suites =
   [ ("paper", Suite.table2);
@@ -40,34 +39,12 @@ let suite_names = List.map fst suites
 
 let find_suite n = List.assoc_opt n suites
 
-(* Compute outside the lock (same discipline as Exp.Ctx): outcomes are
-   deterministic functions of the key, so duplicated work under contention
-   is waste, never a wrong value. *)
-let memo t tbl key f =
-  let find_opt () =
-    Mutex.lock t.lock;
-    let v = Hashtbl.find_opt tbl key in
-    Mutex.unlock t.lock;
-    v
-  in
-  match find_opt () with
-  | Some v -> v
-  | None -> (
-    let v = f () in
-    Mutex.lock t.lock;
-    (match Hashtbl.find_opt tbl key with
-    | Some w ->
-      Mutex.unlock t.lock;
-      w
-    | None ->
-      Hashtbl.replace tbl key v;
-      Mutex.unlock t.lock;
-      v))
+let memo = Plaid_util.Memo.find_or_compute
 
-let built t c = memo t t.built (Space.name c) (fun () -> Space.build c)
+let built t c = memo t.built (Space.name c) (fun () -> Space.build c)
 
 let dfg_of t entry =
-  memo t t.dfgs (Suite.name entry) (fun () -> Suite.dfg entry)
+  memo t.dfgs (Suite.name entry) (fun () -> Suite.dfg entry)
 
 (* Per-candidate mapping seed, derived from a digest of the canonical name:
    independent of candidate order, strategy, and worker count, so the same
@@ -80,51 +57,12 @@ let cand_seed t c =
     (Plaid_util.Rng.bits64 (Plaid_util.Rng.derive (Plaid_util.Rng.create t.seed) child))
   land max_int
 
-let with_blob_cache t ~arch ~mapper ~dfg ~seed compute =
-  match t.cache with
-  | None -> compute ()
-  | Some cache -> (
-    let key = Plaid_serve.Fingerprint.key ~dfg ~arch ~mapper ~seed in
-    let blob, _source =
-      Plaid_serve.Cache.get_or_compute cache ~key (fun () ->
-          Some
-            (match compute () with
-            | None -> ""
-            | Some m -> Plaid_mapping.Mapfile.to_string m))
-    in
-    match blob with
-    | None | Some "" -> None
-    | Some b -> (
-      let resolve n = if n = arch.Plaid_arch.Arch.name then Some arch else None in
-      match Plaid_mapping.Mapfile.of_string ~resolve b with
-      | Ok m -> Some m
-      | Error _ -> compute ()))
-
 let map_candidate t (b : Space.built) dfg ~seed =
-  match b.pcu with
-  | Some plaid ->
-    let params =
-      if t.quick then Plaid_core.Hier_mapper.quick else Plaid_core.Hier_mapper.default
-    in
-    let mapper = if t.quick then "hier:quick" else "hier:default" in
-    with_blob_cache t ~arch:b.arch ~mapper ~dfg ~seed (fun () ->
-        Plaid_obs.Metrics.incr mapper_runs;
-        (Plaid_core.Hier_mapper.map ~params ~plaid ~seed dfg)
-          .Plaid_core.Hier_mapper.mapping)
-  | None ->
-    let algos =
-      if t.quick then
-        [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.quick;
-          Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.quick ]
-      else
-        [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-          Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-    in
-    let mapper = if t.quick then "best_of:pf+sa:quick" else "best_of:pf+sa:default" in
-    with_blob_cache t ~arch:b.arch ~mapper ~dfg ~seed (fun () ->
-        Plaid_obs.Metrics.incr mapper_runs;
-        (Plaid_mapping.Driver.best_of ?pool:t.pool ~algos ~arch:b.arch ~dfg ~seed ())
-          .Plaid_mapping.Driver.mapping)
+  let effort = if t.quick then Plaid_serve.Compile.Quick else Default in
+  let mapper = Plaid_serve.Compile.for_fabric ~effort b.pcu in
+  Plaid_serve.Compile.map ?cache:t.cache mapper ~arch:b.arch ~dfg ~seed ~compute:(fun () ->
+      Plaid_obs.Metrics.incr mapper_runs;
+      Plaid_serve.Compile.run ?pool:t.pool mapper ~arch:b.arch ~dfg ~seed)
 
 (* Outer-scaled cycle count, as in Exp.Ctx: one iteration per II once the
    pipeline is full, one fill per run. *)
@@ -137,7 +75,7 @@ let ops_of t dfg =
 
 let eval_pair t c entry =
   let key = Space.name c ^ "/" ^ Suite.name entry in
-  memo t t.outcomes key (fun () ->
+  memo t.outcomes key (fun () ->
       Plaid_obs.Trace.with_span ~cat:"dse"
         ~args:[ ("candidate", Space.name c); ("kernel", Suite.name entry) ]
         "dse_eval"

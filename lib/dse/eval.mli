@@ -9,9 +9,9 @@
     name, so the stream is independent of candidate order, strategy, and
     worker count.
 
-    With a {!Plaid_serve.Cache}, every mapping is keyed by
-    {!Plaid_serve.Fingerprint} (DFG x architecture x mapper x seed) and
-    stored as a mapfile blob — failed mappings as the empty blob — so
+    With a {!Plaid_serve.Cache}, every mapping goes through
+    {!Plaid_serve.Compile.map}: keyed by {!Plaid_serve.Fingerprint} (DFG x
+    architecture x mapper x seed) and stored as a mapfile blob — failed mappings as the empty blob — so
     campaigns are resumable and a cache-warm re-run performs zero mapper
     invocations (the [dse_mapper_invocations] counter stays 0).  Cache
     state never leaks into the report: cold and warm runs are

@@ -5,16 +5,15 @@ type t = {
   outer_trips : int;
   pool : Plaid_util.Pool.t option;
   cache : Plaid_serve.Cache.t option;  (* persistent mapping cache *)
-  lock : Mutex.t;  (* guards the three memo tables when [t] is shared *)
   st : Plaid_arch.Arch.t Lazy.t;
   st6 : Plaid_arch.Arch.t Lazy.t;
   st_ml : Plaid_arch.Arch.t Lazy.t;
   plaid2 : Plaid_core.Pcu.t Lazy.t;
   plaid3 : Plaid_core.Pcu.t Lazy.t;
   plaid_ml : Plaid_core.Pcu.t Lazy.t;
-  mappings : (string, Plaid_mapping.Mapping.t option) Hashtbl.t;
-  hier : (string, Plaid_core.Hier_mapper.outcome) Hashtbl.t;
-  spatials : (string, (Plaid_spatial.Spatial.result, string) result) Hashtbl.t;
+  mappings : (string, Plaid_mapping.Mapping.t option) Plaid_util.Memo.t;
+  hier : (string, Plaid_core.Hier_mapper.outcome) Plaid_util.Memo.t;
+  spatials : (string, (Plaid_spatial.Spatial.result, string) result) Plaid_util.Memo.t;
 }
 
 let create ?(seed = 2025) ?(outer = 16) ?pool ?cache () =
@@ -23,16 +22,15 @@ let create ?(seed = 2025) ?(outer = 16) ?pool ?cache () =
     outer_trips = outer;
     pool;
     cache;
-    lock = Mutex.create ();
     st = lazy (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_4x4 ~name:"st_4x4");
     st6 = lazy (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_6x6 ~name:"st_6x6");
     st_ml = lazy (Plaid_core.Specialize.st_ml ());
     plaid2 = lazy (Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" ());
     plaid3 = lazy (Plaid_core.Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" ());
     plaid_ml = lazy (Plaid_core.Specialize.plaid_ml ());
-    mappings = Hashtbl.create 64;
-    hier = Hashtbl.create 64;
-    spatials = Hashtbl.create 64;
+    mappings = Plaid_util.Memo.create 64;
+    hier = Plaid_util.Memo.create 64;
+    spatials = Plaid_util.Memo.create 64;
   }
 
 let outer t = t.outer_trips
@@ -52,103 +50,44 @@ let prewarm t =
   ignore (st t); ignore (st6 t); ignore (st_ml t);
   ignore (plaid2 t); ignore (plaid3 t); ignore (plaid_ml t)
 
-(* Compute outside the lock: mapping results are deterministic functions of
-   the key, so a duplicated computation under contention is wasted work but
-   never a wrong (or torn) value. *)
-let memo t tbl key f =
-  let find_opt () =
-    Mutex.lock t.lock;
-    let v = Hashtbl.find_opt tbl key in
-    Mutex.unlock t.lock;
-    v
-  in
-  match find_opt () with
-  | Some v -> v
-  | None -> (
-    let v = f () in
-    Mutex.lock t.lock;
-    (match Hashtbl.find_opt tbl key with
-    | Some w ->
-      Mutex.unlock t.lock;
-      w
-    | None ->
-      Hashtbl.replace tbl key v;
-      Mutex.unlock t.lock;
-      v))
-
-(* Persistent-cache wrapper around one mapping computation.  The computed
-   mapping is stored as a mapfile blob, and the value returned is always
-   the one parsed back from the blob — so a cold cache and a warm cache
-   hand experiments structurally identical mappings, and any round-trip
-   inexactness shows up immediately (the determinism gate compares cached
-   runs against cache-free ones byte for byte).  Negative results are
-   cached as the empty blob.  A blob that fails to parse (which the
-   store's checksums make unreachable short of a format bug) falls back to
-   a fresh compute. *)
-let with_blob_cache t ~arch ~mapper ~dfg compute =
-  match t.cache with
-  | None -> compute ()
-  | Some cache -> (
-    let key = Plaid_serve.Fingerprint.key ~dfg ~arch ~mapper ~seed:t.seed in
-    let blob, _source =
-      Plaid_serve.Cache.get_or_compute cache ~key (fun () ->
-          Some
-            (match compute () with
-            | None -> ""
-            | Some m -> Plaid_mapping.Mapfile.to_string m))
-    in
-    match blob with
-    | None | Some "" -> None
-    | Some b -> (
-      let resolve n = if n = arch.Plaid_arch.Arch.name then Some arch else None in
-      match Plaid_mapping.Mapfile.of_string ~resolve b with
-      | Ok m -> Some m
-      | Error _ -> compute ()))
-
 let best_of_baselines t arch entry =
-  let dfg = Suite.dfg entry in
-  with_blob_cache t ~arch ~mapper:"best_of:pf+sa:default" ~dfg (fun () ->
-      (Plaid_mapping.Driver.best_of ?pool:t.pool
-         ~algos:
-           [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-             Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-         ~arch ~dfg ~seed:t.seed ())
-        .Plaid_mapping.Driver.mapping)
+  Plaid_serve.Compile.map ?cache:t.cache ?pool:t.pool (Plaid_serve.Compile.Best_of Default)
+    ~arch ~dfg:(Suite.dfg entry) ~seed:t.seed
+
+let memo = Plaid_util.Memo.find_or_compute
 
 let map_st t entry =
-  memo t t.mappings ("st/" ^ Suite.name entry) (fun () -> best_of_baselines t (st t) entry)
+  memo t.mappings ("st/" ^ Suite.name entry) (fun () -> best_of_baselines t (st t) entry)
 
 let map_st6 t entry =
-  memo t t.mappings ("st6/" ^ Suite.name entry) (fun () -> best_of_baselines t (st6 t) entry)
+  memo t.mappings ("st6/" ^ Suite.name entry) (fun () -> best_of_baselines t (st6 t) entry)
 
 let map_st_ml t entry =
-  memo t t.mappings ("stml/" ^ Suite.name entry) (fun () -> best_of_baselines t (st_ml t) entry)
+  memo t.mappings ("stml/" ^ Suite.name entry) (fun () -> best_of_baselines t (st_ml t) entry)
 
 (* Hierarchical outcomes carry the motif cover and MII alongside the
    mapping; both are cheap deterministic functions of (seed, dfg), so a
    cache hit reconstructs them instead of storing them. *)
 let hier_on t key plaid entry =
-  memo t t.hier (key ^ "/" ^ Suite.name entry) (fun () ->
+  memo t.hier (key ^ "/" ^ Suite.name entry) (fun () ->
       let dfg = Suite.dfg entry in
-      match t.cache with
-      | None -> Plaid_core.Hier_mapper.map ~plaid ~seed:t.seed dfg
-      | Some _ -> (
-        let arch = plaid.Plaid_core.Pcu.arch in
-        let fresh = ref None in
-        let mapping =
-          with_blob_cache t ~arch ~mapper:"hier:default" ~dfg (fun () ->
-              let o = Plaid_core.Hier_mapper.map ~plaid ~seed:t.seed dfg in
-              fresh := Some o;
-              o.Plaid_core.Hier_mapper.mapping)
-        in
-        match !fresh with
-        | Some o -> { o with Plaid_core.Hier_mapper.mapping }
-        | None ->
-          {
-            Plaid_core.Hier_mapper.mapping;
-            hier = Plaid_core.Hier_mapper.default_hier ~seed:t.seed dfg;
-            mii = Plaid_ir.Analysis.mii dfg (Plaid_arch.Arch.capacity arch);
-          }))
+      let arch = plaid.Plaid_core.Pcu.arch in
+      let fresh = ref None in
+      let mapping =
+        Plaid_serve.Compile.map ?cache:t.cache (Hier (plaid, Default)) ~arch ~dfg ~seed:t.seed
+          ~compute:(fun () ->
+            let o = Plaid_core.Hier_mapper.map ~plaid ~seed:t.seed dfg in
+            fresh := Some o;
+            o.Plaid_core.Hier_mapper.mapping)
+      in
+      match !fresh with
+      | Some o -> { o with Plaid_core.Hier_mapper.mapping }
+      | None ->
+        {
+          Plaid_core.Hier_mapper.mapping;
+          hier = Plaid_core.Hier_mapper.default_hier ~seed:t.seed dfg;
+          mii = Plaid_ir.Analysis.mii dfg (Plaid_arch.Arch.capacity arch);
+        })
 
 let map_plaid t entry = hier_on t "plaid2" (plaid2 t) entry
 
@@ -157,22 +96,15 @@ let map_plaid3 t entry = hier_on t "plaid3" (plaid3 t) entry
 let map_plaid_ml t entry = hier_on t "plaidml" (plaid_ml t) entry
 
 let map_plaid_generic t algo entry =
-  let name = match algo with `Sa -> "plaid-sa" | `Pf -> "plaid-pf" in
-  memo t t.mappings (name ^ "/" ^ Suite.name entry) (fun () ->
-      let arch = (plaid2 t).Plaid_core.Pcu.arch in
-      let dfg = Suite.dfg entry in
-      let mapper = Printf.sprintf "driver:%s:default" (match algo with `Sa -> "sa" | `Pf -> "pf") in
-      let algo =
-        match algo with
-        | `Sa -> Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default
-        | `Pf -> Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default
-      in
-      with_blob_cache t ~arch ~mapper ~dfg (fun () ->
-          (Plaid_mapping.Driver.map ?pool:t.pool ~algo ~arch ~dfg ~seed:t.seed ())
-            .Plaid_mapping.Driver.mapping))
+  let name, mapper =
+    match algo with `Sa -> ("plaid-sa", Plaid_serve.Compile.Sa) | `Pf -> ("plaid-pf", Pf)
+  in
+  memo t.mappings (name ^ "/" ^ Suite.name entry) (fun () ->
+      Plaid_serve.Compile.map ?cache:t.cache ?pool:t.pool mapper
+        ~arch:(plaid2 t).Plaid_core.Pcu.arch ~dfg:(Suite.dfg entry) ~seed:t.seed)
 
 let spatial t entry =
-  memo t t.spatials ("spatial/" ^ Suite.name entry) (fun () ->
+  memo t.spatials ("spatial/" ^ Suite.name entry) (fun () ->
       Plaid_spatial.Spatial.run ~seed:t.seed (Suite.dfg entry))
 
 (* Outer-scaled cycle count: the modulo kernel admits one iteration per II,

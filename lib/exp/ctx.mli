@@ -22,8 +22,9 @@ val create :
     pool size (see {!Plaid_mapping.Driver}).
 
     [?cache] attaches a persistent mapping cache: every per-kernel mapping
-    is keyed by its semantic fingerprint ({!Plaid_serve.Fingerprint}) and
-    served from the cache when warm.  Experiment reports are byte-identical
+    goes through {!Plaid_serve.Compile.map}, keyed by its semantic
+    fingerprint ({!Plaid_serve.Fingerprint}) and served from the cache
+    when warm.  Experiment reports are byte-identical
     with the cache cold, warm, or absent — mappings travel through the
     exact mapfile blob round-trip in all cached cases, and the determinism
     gate enforces the equality. *)

@@ -17,31 +17,6 @@ let slot_mod ii t = ((t mod ii) + ii) mod ii
    lazily, in the same (resource, elapsed) state space as {!Route.find}'s
    Hard mode. *)
 
-(* Admissible prune for the enumeration: the minimum summed link latency
-   from each resource to [dst_fu], ignoring occupancy.  Any state with
-   [elapsed + min_lat > length] can never arrive on time. *)
-let min_latency_to arch ~dst_fu =
-  let n = Plaid_arch.Arch.n_resources arch in
-  let dist = Array.make n max_int in
-  let q = Plaid_util.Pqueue.create () in
-  dist.(dst_fu) <- 0;
-  Plaid_util.Pqueue.push q 0.0 dst_fu;
-  let finished = ref false in
-  while (not !finished) && not (Plaid_util.Pqueue.is_empty q) do
-    match Plaid_util.Pqueue.pop q with
-    | None -> finished := true
-    | Some (d, res) ->
-      if int_of_float d = dist.(res) then
-        List.iter
-          (fun (src, lat) ->
-            if dist.(res) + lat < dist.(src) then begin
-              dist.(src) <- dist.(res) + lat;
-              Plaid_util.Pqueue.push q (float_of_int dist.(src)) src
-            end)
-          arch.Plaid_arch.Arch.in_links.(res)
-  done;
-  dist
-
 (* All exact-latency paths for one edge, as a lazy sequence in a fixed
    deterministic order.  [tick] charges each state expansion against the
    shared search budget; once it reports exhaustion the sequence dries
@@ -77,9 +52,7 @@ let enum_paths mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~min_lat ~tick :
                else if dst = dst_fu && e' = length then
                  (* consumer FU itself is not occupied by the route *)
                  Seq.return (List.rev rev_path)
-               else if
-                 min_lat.(dst) = max_int || e' + min_lat.(dst) > length
-               then Seq.empty
+               else if e' + min_lat dst > length then Seq.empty
                else begin
                  let intermediate_fu =
                    match (Plaid_arch.Arch.resource arch dst).Plaid_arch.Arch.kind with
@@ -118,15 +91,14 @@ let find arch g ~ii ~times ~budget =
     !exhausted
   in
   let edges = g.Dfg.edges in
-  (* per-consumer minimum-latency maps, built on demand *)
-  let min_lat_cache = Hashtbl.create 16 in
-  let min_lat_for dst_fu =
-    match Hashtbl.find_opt min_lat_cache dst_fu with
-    | Some d -> d
-    | None ->
-      let d = min_latency_to arch ~dst_fu in
-      Hashtbl.add min_lat_cache dst_fu d;
-      d
+  (* Admissible prune for the enumeration: the fault-aware minimum link
+     latency from each resource to the consumer FU, ignoring occupancy.  A
+     state with [elapsed + min_lat > length] can never arrive on time; the
+     table's 255 ("unreachable") exceeds every length up to
+     {!Route.max_detour}, so it prunes too. *)
+  let rt = Plaid_arch.Arch.route_tables arch in
+  let min_lat_for dst_fu res =
+    Char.code (Bytes.unsafe_get rt.Plaid_arch.Arch.rt_lat ((dst_fu * rt.rt_n) + res))
   in
   (* edges whose both endpoints are placed once [v] is placed *)
   let ready_edges v =

@@ -11,8 +11,8 @@
     - the architecture through {!Plaid_arch.Arch.fingerprint_lines}, a
       structural dump that includes the attached fault set (sorted, so
       fault-list order cannot split the cache);
-    - the mapper as a caller-chosen configuration string
-      (e.g. ["best_of:pf+sa:default"]);
+    - the mapper as its configuration string, which callers take from
+      {!Compile.name} rather than writing by hand;
     - {!version}, the compiler-version salt, so keys survive process
       restarts but never alias across code changes that alter mapping
       results or blob formats.

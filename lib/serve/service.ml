@@ -162,28 +162,6 @@ let parse_request line =
 
 (* ------------------------------------------------------------- compute *)
 
-(* Negative results (mapper found nothing) are cached as the empty blob:
-   deterministic failures are as cacheable as successes, and a replayed
-   corpus is all hits on the second pass either way. *)
-let blob_of_mapping = function
-  | None -> ""
-  | Some m -> Plaid_mapping.Mapfile.to_string m
-
-let map_on_fabric ~arch ~pcu ~dfg ~seed =
-  match pcu with
-  | Some plaid ->
-    (Plaid_core.Hier_mapper.map ~plaid ~seed dfg).Plaid_core.Hier_mapper.mapping
-  | None ->
-    (Plaid_mapping.Driver.best_of
-       ~algos:
-         [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-           Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-       ~arch ~dfg ~seed ())
-      .Plaid_mapping.Driver.mapping
-
-let mapper_name ~pcu =
-  match pcu with Some _ -> "hier:default" | None -> "best_of:pf+sa:default"
-
 (* Resolve a request down to (key, compute) — everything except the mapping
    itself, so batches can dedupe before burning a worker. *)
 let prepare t req =
@@ -196,8 +174,8 @@ let prepare t req =
            (String.concat ", " arch_names))
   in
   let keyed ~arch ~pcu ~seed dfg =
-    let key = Fingerprint.key ~dfg ~arch ~mapper:(mapper_name ~pcu) ~seed in
-    Ok (key, fun () -> blob_of_mapping (map_on_fabric ~arch ~pcu ~dfg ~seed))
+    let mapper = Compile.for_fabric pcu in
+    Ok (Compile.key mapper ~arch ~dfg ~seed, fun () -> Compile.run mapper ~arch ~dfg ~seed)
   in
   match req with
   | Map { kernel; arch; seed; _ } -> (
@@ -316,14 +294,13 @@ let handle ?queued_at t req =
             computed_ms := Plaid_obs.Trace.Clock.seconds_since tc *. 1000.0;
             Plaid_obs.Metrics.observe h_compute_ms !computed_ms)
           (fun () ->
-            Plaid_obs.Trace.with_span ~cat:"serve" "compute" @@ fun () ->
-            Some (compute ()))
+            Plaid_obs.Trace.with_span ~cat:"serve" "compute" compute)
       in
       let tl = Plaid_obs.Trace.Clock.now_ns () in
       let blob, source =
         Plaid_obs.Trace.with_span ~cat:"serve" "cache"
           ~result:(fun (_, s) -> [ ("source", Cache.source_to_string s) ])
-        @@ fun () -> Cache.get_or_compute t.cache ~key timed_compute
+        @@ fun () -> Compile.lookup t.cache ~key timed_compute
       in
       (* cache-lookup time = tier walk (and any coalesced wait), minus the
          compute we timed separately *)

@@ -30,6 +30,32 @@ let test_exact_exhausts_budget_gracefully () =
     let o = Exact.find (Lazy.force st4) g ~ii ~times ~budget:5 in
     check Alcotest.bool "budget respected" true (o.Exact.explored <= 6)
 
+(* The explored-state count is a fingerprint of the prune: pinned on the
+   route-backtracking repro (a dead FU) and on a link-faulted Plaid case,
+   at the II and schedule PathFinder finds, as the fuzz oracle runs it. *)
+let test_exact_explored_pinned () =
+  List.iter
+    (fun (file, want) ->
+      let c =
+        let path = Filename.concat (Option.get (Test_check.corpus_dir ())) file in
+        match Plaid_check.Case.load ~path with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let arch, _ = Plaid_check.Case.build c in
+      let g = c.Plaid_check.Case.dfg in
+      match
+        (Driver.map ~algo:(Driver.Pf Pathfinder.quick) ~arch ~dfg:g
+           ~seed:c.Plaid_check.Case.seed ())
+          .Driver.mapping
+      with
+      | None -> Alcotest.failf "%s: PathFinder found no mapping" file
+      | Some m ->
+        let o = Exact.find arch g ~ii:m.Mapping.ii ~times:m.Mapping.times ~budget:200_000 in
+        check Alcotest.bool (file ^ ": mapped") true (o.Exact.mapping <> None);
+        check Alcotest.int (file ^ ": explored") want o.Exact.explored)
+    [ ("exact_route_backtrack.case", 21); ("seed2026_trial005.case", 199333) ]
+
 let test_exact_agrees_with_validator () =
   List.iter
     (fun seed ->
@@ -67,6 +93,7 @@ let suites =
       [
         Alcotest.test_case "finds mapping at MII" `Quick test_exact_finds_mapping;
         Alcotest.test_case "budget respected" `Quick test_exact_exhausts_budget_gracefully;
+        Alcotest.test_case "explored count pinned" `Quick test_exact_explored_pinned;
         Alcotest.test_case "valid mappings" `Quick test_exact_agrees_with_validator;
         Alcotest.test_case "SA optimality gap" `Slow test_sa_optimality_gap;
       ] );

@@ -72,6 +72,35 @@ let test_key_pinned_across_processes () =
     Alcotest.failf "fingerprint drifted: got %s, pinned %s (version %s)" k pinned_case_key
       F.version
 
+(* The key of every mapper configuration, for one fixed kernel on one fixed
+   fabric (so only the mapper string varies), pinned to literals computed
+   before the mapper strings were derived from typed configurations.  A
+   renamed configuration would silently orphan every key cached under it. *)
+let test_mapper_keys_pinned () =
+  let module C = Plaid_serve.Compile in
+  let arch, _ = Option.get (Service.build_fabric "st") in
+  let _, pcu = Option.get (Service.build_fabric "plaid") in
+  let plaid = Option.get pcu in
+  let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "dwconv") in
+  let pins =
+    [ (C.Hier (plaid, Default), "f22a15b877c175d8a80344dadec34f25");
+      (C.Hier (plaid, Quick), "b82bd6bf82607984849dbdaf492381e0");
+      (C.Best_of Default, "f4e3864415d22fd0d618c1f4afd3050f");
+      (C.Best_of Quick, "f8b6331a0449883039c26a03ff13cdc6");
+      (C.Pf, "221699d7f32912ce95c3531b42bcb7cc");
+      (C.Sa, "189ddc86ad4f7ccd68984d2f510619af") ]
+  in
+  List.iter
+    (fun (mapper, want) ->
+      let got = C.key mapper ~arch ~dfg ~seed:2025 in
+      if got <> want then
+        Alcotest.failf "%s: key drifted: got %s, pinned %s" (C.name mapper) got want)
+    pins;
+  let names = List.map (fun (m, _) -> C.name m) pins in
+  check "mapper names pairwise distinct"
+    (List.length (List.sort_uniq compare names) = List.length names)
+    true
+
 let test_key_well_formed () =
   let k = case_key (fuzz_case 1) in
   check "32 chars" (String.length k = 32) true;
@@ -336,6 +365,22 @@ let test_service_roundtrip_simulates () =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "cached mapping no longer simulates: %s" e)
 
+(* The experiment context and the service derive the same key for the same
+   request: a mapping Ctx cached is a disk hit for the service, byte for
+   byte the Mapfile text of what Ctx returned. *)
+let test_ctx_and_service_share_keys () =
+  let dir = temp_dir () in
+  let ctx = Plaid_exp.Ctx.create ~cache:(Cache.create ~dir ()) () in
+  let m =
+    match Plaid_exp.Ctx.map_st ctx (Plaid_workloads.Suite.find "dwconv") with
+    | Some m -> m
+    | None -> Alcotest.fail "dwconv does not map on st"
+  in
+  let svc = Service.create ~cache:(Cache.create ~dir ()) () in
+  let blob, source = payload_of (Service.handle svc (map_req ~arch:"st" "dwconv")) in
+  check "service hits the store Ctx wrote" (source = Some Cache.Disk) true;
+  check "same bytes as the Ctx mapping" (blob = Plaid_mapping.Mapfile.to_string m) true
+
 let test_service_deadline () =
   let _, svc = dir_service () in
   (* gemm_u2 on the ST mesh takes hundreds of ms to map: a 1 ms deadline
@@ -471,6 +516,7 @@ let suites =
         Alcotest.test_case "digest primitive pinned" `Quick test_digest_pinned;
         Alcotest.test_case "key pinned across processes" `Quick test_key_pinned_across_processes;
         Alcotest.test_case "key well-formed and stable" `Quick test_key_well_formed;
+        Alcotest.test_case "mapper keys pinned" `Quick test_mapper_keys_pinned;
         Test_qc.to_alcotest qc_fingerprint_injective;
         Test_qc.to_alcotest qc_fingerprint_salts;
         Alcotest.test_case "arch digest equals its lines" `Quick test_arch_digest_matches_lines;
@@ -498,6 +544,7 @@ let suites =
       [
         Alcotest.test_case "blob round trip simulates bit-exactly" `Slow
           test_service_roundtrip_simulates;
+        Alcotest.test_case "Ctx and service share keys" `Slow test_ctx_and_service_share_keys;
         Alcotest.test_case "deadlines trip but still cache" `Slow test_service_deadline;
         Alcotest.test_case "request errors" `Quick test_service_errors;
         Alcotest.test_case "lowering errors are answered" `Quick test_service_lowering_error;
