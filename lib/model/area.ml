@@ -1,36 +1,30 @@
 open Plaid_arch
 
-let is_compute_class c = List.mem c [ "alu"; "alsu"; "alu_pruned"; "alsu_pruned" ]
-
-let is_comm_class c =
-  List.mem c [ "router_port"; "out_reg"; "local_port"; "global_port"; "global_out_reg" ]
+let category_of_class = function
+  | "alu" | "alsu" | "alu_pruned" | "alsu_pruned" -> Report.Compute
+  | "router_port" | "out_reg" | "local_port" | "global_port" | "global_out_reg" -> Report.Comm
+  | _ -> Report.Regs
 
 let fabric (arch : Arch.t) =
-  let add tbl k v = Hashtbl.replace tbl k (v +. try Hashtbl.find tbl k with Not_found -> 0.0) in
-  let tbl = Hashtbl.create 8 in
+  let acc = Report.acc () in
   Array.iter
     (fun (r : Arch.resource) ->
       let a = Tech.area_of_class r.area_class in
       (* crossbar silicon: one crosspoint per selectable input *)
       let indeg = List.length arch.in_links.(r.id) in
       let xbar = if indeg > 1 then float_of_int indeg *. Tech.crosspoint_area else 0.0 in
-      if is_compute_class r.area_class then begin
-        add tbl "compute" a;
-        add tbl "comm" xbar
-      end
-      else if is_comm_class r.area_class then add tbl "comm" (a +. xbar)
-      else begin
-        add tbl "regs" a;
-        add tbl "comm" xbar
-      end)
+      match category_of_class r.area_class with
+      | Report.Comm -> Report.add acc Comm (a +. xbar)
+      | cat ->
+        Report.add acc cat a;
+        Report.add acc Comm xbar)
     arch.resources;
   let entries = float_of_int arch.config.entries in
-  add tbl "compute_config"
+  Report.add acc Compute_config
     (float_of_int arch.config.compute_bits *. entries *. Tech.config_area_per_bit);
-  add tbl "comm_config" (float_of_int arch.config.comm_bits *. entries *. Tech.config_area_per_bit);
-  List.filter_map
-    (fun k -> Option.map (fun v -> (k, v)) (Hashtbl.find_opt tbl k))
-    [ "compute"; "compute_config"; "comm"; "comm_config"; "regs" ]
+  Report.add acc Comm_config
+    (float_of_int arch.config.comm_bits *. entries *. Tech.config_area_per_bit);
+  Report.to_report acc
 
 let fabric_total arch = Report.total (fabric arch)
 

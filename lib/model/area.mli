@@ -1,8 +1,8 @@
 (** Fabric and system area from the architecture structure (Figure 13). *)
 
-val is_compute_class : string -> bool
-
-val is_comm_class : string -> bool
+val category_of_class : string -> Report.category
+(** FUs are compute; ports and routing registers are comm; everything else
+    (data registers) is regs. *)
 
 val fabric : Plaid_arch.Arch.t -> Report.t
 (** Categories: compute (FUs), compute_config, comm (ports and routing

@@ -51,125 +51,241 @@ let corrupted_edges (m : Mapping.t) =
     m.routes;
   tbl
 
-let run_exn (m : Mapping.t) spm =
+let floor_div a b = if a >= 0 then a / b else -((b - 1 - a) / b)
+
+(* Replay arrays are sized by the schedule's spread, which a valid mapping
+   keeps to a few hundred cycles; a hand-edited mapping loaded without
+   validation is refused past this bound rather than allocated. *)
+let max_spread = 1 lsl 20
+
+(* Every route step, flattened in (route, path) order: route [r] carries
+   node [src.(r)]'s values and owns steps [first.(r)] to [first.(r + 1) - 1].
+   A step carries iteration [iter]'s value on [res] at absolute cycle
+   [base + iter * II]. *)
+type steps = { src : int array; first : int array; res : int array; base : int array }
+
+let flatten (m : Mapping.t) =
+  let routes = Array.of_list m.routes in
+  let first = Array.make (Array.length routes + 1) 0 in
+  Array.iteri
+    (fun i (r : Mapping.route_entry) -> first.(i + 1) <- first.(i) + List.length r.re_path)
+    routes;
+  let n = first.(Array.length routes) in
+  let res = Array.make n 0 and base = Array.make n 0 in
+  Array.iteri
+    (fun i (r : Mapping.route_entry) ->
+      List.iteri
+        (fun k (rid, elapsed) ->
+          res.(first.(i) + k) <- rid;
+          base.(first.(i) + k) <- m.times.(r.re_edge.src) + elapsed)
+        r.re_path)
+    routes;
+  { src = Array.map (fun (r : Mapping.route_entry) -> r.re_edge.src) routes; first; res; base }
+
+(* Fire every (node, iter) in (cycle, topo) order, filling [values]
+   ([iter * n + node]) and calling [mark] on each firing cycle.  The
+   schedule already satisfies all dependency constraints, so replaying by
+   absolute fire time (topological rank among simultaneous nodes) is legal.
+   Cycle [t + iter * II] is wave [t / II + iter] at slot [t mod II], so each
+   wave fires its live nodes in (slot, rank) order. *)
+let fire_all (m : Mapping.t) spm ~mark =
   let g = m.dfg in
-  let trip = g.Dfg.trip in
-  let n = Dfg.n_nodes g in
-  let arch = m.Mapping.arch in
+  let trip = g.Dfg.trip and n = Dfg.n_nodes g and ii = m.ii in
+  let arch = m.arch in
   let faulty = Plaid_arch.Arch.faults arch <> [] in
   let bad_edges = if faulty then corrupted_edges m else Hashtbl.create 0 in
-  let edge_bad (e : Dfg.edge) = Hashtbl.mem bad_edges (e.src, e.dst, e.operand, e.dist) in
   let fu_bad =
     Array.init n (fun v ->
         faulty
-        && Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v)
-             ~slot:(slot_norm ~ii:m.ii m.times.(v)))
+        && Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v) ~slot:(slot_norm ~ii m.times.(v)))
   in
-  (* Fire nodes in (cycle, topo) order.  The schedule already satisfies all
-     dependency constraints, so sorting by absolute fire time (stable on
-     topological rank for simultaneous memory ops) is a legal replay. *)
-  let rank = Array.make n 0 in
-  List.iteri (fun i v -> rank.(v) <- i) (Dfg.topo_order g);
-  let events =
-    List.concat_map
-      (fun iter -> List.init n (fun v -> (m.times.(v) + (iter * m.ii), rank.(v), v, iter)))
-      (List.init trip (fun i -> i))
-    |> List.sort compare
-  in
-  let values = Array.make_matrix trip n 0 in
-  let fu_firings = ref 0 in
-  let error = ref None in
-  List.iter
-    (fun (_, _, v, iter) ->
-      if !error = None then begin
+  (* Per node: the operand array with immediates filled in, and the data
+     edges that overwrite it on every firing. *)
+  let template =
+    Array.init n (fun v ->
         let nd = Dfg.node g v in
-        let arity = Op.arity nd.op in
-        let args = Array.make arity 0 in
+        let args = Array.make (Op.arity nd.op) 0 in
         List.iter (fun (i, c) -> args.(i) <- c) nd.imms;
-        List.iter
-          (fun (e : Dfg.edge) ->
-            if not (Dfg.is_ordering e) then begin
-              let src_iter = iter - e.dist in
-              let v = if src_iter < 0 then e.init else values.(src_iter).(e.src) in
-              (* A value crossing faulted wires arrives corrupted. *)
-              args.(e.operand) <- (if faulty && edge_bad e then corrupt v else v)
-            end)
-          (Dfg.preds g v);
-        incr fu_firings;
-        let result =
-          match nd.op with
-          | Op.Load | Op.Input ->
-            let a = Option.get nd.access in
-            let r = Spm.read spm a.array (address a iter) in
-            if faulty && Plaid_arch.Arch.spm_faulty arch a.array then corrupt r else r
-          | Op.Store ->
-            let a = Option.get nd.access in
-            (* A faulted ALSU garbles the word on its way to the bank, as
-               does a faulty bank itself — one fault site, one corruption. *)
-            let w =
-              if fu_bad.(v) || (faulty && Plaid_arch.Arch.spm_faulty arch a.array) then
-                corrupt args.(0)
-              else args.(0)
-            in
-            Spm.write spm a.array (address a iter) w;
-            args.(0)
-          | ( Op.Add | Op.Sub | Op.Mul | Op.Shl | Op.Shr | Op.Asr | Op.And
-            | Op.Or | Op.Xor | Op.Not | Op.Min | Op.Max | Op.Eq | Op.Lt
-            | Op.Select ) as op ->
-            Op.eval op args
+        args)
+  in
+  let inputs =
+    Array.init n (fun v ->
+        Array.of_list (List.filter (fun e -> not (Dfg.is_ordering e)) (Dfg.preds g v)))
+  in
+  let inputs_bad =
+    Array.map
+      (Array.map (fun (e : Dfg.edge) ->
+           faulty && Hashtbl.mem bad_edges (e.src, e.dst, e.operand, e.dist)))
+      inputs
+  in
+  let values = Array.make (trip * n) 0 in
+  let fire v iter =
+    let nd = Dfg.node g v in
+    let args = Array.copy template.(v) in
+    let ins = inputs.(v) and bad = inputs_bad.(v) in
+    for k = 0 to Array.length ins - 1 do
+      let (e : Dfg.edge) = ins.(k) in
+      let src_iter = iter - e.dist in
+      let x = if src_iter < 0 then e.init else values.((src_iter * n) + e.src) in
+      (* A value crossing faulted wires arrives corrupted. *)
+      args.(e.operand) <- (if bad.(k) then corrupt x else x)
+    done;
+    let result =
+      match nd.op with
+      | Op.Load | Op.Input ->
+        let a = Option.get nd.access in
+        let r = Spm.read spm a.array (address a iter) in
+        if faulty && Plaid_arch.Arch.spm_faulty arch a.array then corrupt r else r
+      | Op.Store ->
+        let a = Option.get nd.access in
+        (* A faulted ALSU garbles the word on its way to the bank, as
+           does a faulty bank itself — one fault site, one corruption. *)
+        let w =
+          if fu_bad.(v) || (faulty && Plaid_arch.Arch.spm_faulty arch a.array) then
+            corrupt args.(0)
+          else args.(0)
         in
-        (* A faulted FU garbles whatever it produces. *)
-        values.(iter).(v) <- (if fu_bad.(v) then corrupt result else result)
-      end)
-    events;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    (* Replay every routed value hop by hop over absolute cycles and check
-       wire exclusivity: at most one value per (resource, cycle). *)
-    let wires : (int * int, int * int * int) Hashtbl.t = Hashtbl.create 1024 in
-    let conflict = ref None in
-    List.iter
-      (fun (r : Mapping.route_entry) ->
-        let e = r.re_edge in
-        for iter = 0 to trip - 1 do
-          let t_src = m.times.(e.src) + (iter * m.ii) in
-          let v = values.(iter).(e.src) in
-          List.iter
-            (fun (res, elapsed) ->
-              let cycle = t_src + elapsed in
-              match Hashtbl.find_opt wires (res, cycle) with
-              | None -> Hashtbl.replace wires (res, cycle) (e.src, iter, v)
-              | Some (src', iter', v') ->
-                if (src', iter') <> (e.src, iter) && v' <> v && !conflict = None then
-                  conflict :=
-                    Some
-                      (Printf.sprintf
-                         "wire conflict: resource %d cycle %d carries node %d/iter %d and node %d/iter %d"
-                         res cycle src' iter' e.src iter))
-            r.re_path
-        done)
-      m.routes;
-    (match !conflict with
-    | Some msg -> Error msg
-    | None ->
+        Spm.write spm a.array (address a iter) w;
+        args.(0)
+      | ( Op.Add | Op.Sub | Op.Mul | Op.Shl | Op.Shr | Op.Asr | Op.And
+        | Op.Or | Op.Xor | Op.Not | Op.Min | Op.Max | Op.Eq | Op.Lt
+        | Op.Select ) as op ->
+        Op.eval op args
+    in
+    (* A faulted FU garbles whatever it produces. *)
+    values.((iter * n) + v) <- (if fu_bad.(v) then corrupt result else result);
+    mark (m.times.(v) + (iter * ii))
+  in
+  if n > 0 then begin
+    let topo = Array.of_list (Dfg.topo_order g) in
+    let wave = Array.map (fun t -> floor_div t ii) m.times in
+    let order =
+      Array.init n (fun rank ->
+          let v = topo.(rank) in
+          ((m.times.(v) - (wave.(v) * ii)) * n) + rank)
+    in
+    Array.sort compare order;
+    let order = Array.map (fun key -> topo.(key mod n)) order in
+    for w = Array.fold_left min max_int wave to Array.fold_left max min_int wave + trip - 1 do
+      Array.iter
+        (fun v ->
+          let iter = w - wave.(v) in
+          if iter >= 0 && iter < trip then fire v iter)
+        order
+    done
+  end;
+  values
+
+exception Wire_conflict of string
+
+(* Replay every routed value hop by hop and check wire exclusivity: at most
+   one value per (resource, cycle).  Each wire cell (resource, slot) a route
+   touches owns a slice of [occupant] (node * trip + iter, -1 while free) and
+   [carried], one entry per wave in which it can be busy.  Returns the
+   number of distinct (resource, cycle) occupancies, calling [mark] on each
+   one's cycle. *)
+let replay_wires (m : Mapping.t) st values ~mark =
+  let trip = m.dfg.Dfg.trip and n = Dfg.n_nodes m.dfg and ii = m.ii in
+  let n_steps = Array.length st.res in
+  let cell_of = Array.make (Plaid_arch.Arch.n_resources m.arch * ii) (-1) in
+  let step_cell = Array.make n_steps 0 and step_wave = Array.make n_steps 0 in
+  let cells = ref 0 in
+  let c_lo = Array.make n_steps max_int and c_hi = Array.make n_steps min_int in
+  for k = 0 to n_steps - 1 do
+    let w = floor_div st.base.(k) ii in
+    let key = (st.res.(k) * ii) + st.base.(k) - (w * ii) in
+    if cell_of.(key) < 0 then begin
+      cell_of.(key) <- !cells;
+      incr cells
+    end;
+    let c = cell_of.(key) in
+    step_cell.(k) <- c;
+    step_wave.(k) <- w;
+    c_lo.(c) <- min c_lo.(c) w;
+    c_hi.(c) <- max c_hi.(c) w
+  done;
+  let c_start = Array.make (!cells + 1) 0 in
+  for c = 0 to !cells - 1 do
+    c_start.(c + 1) <- c_start.(c) + c_hi.(c) - c_lo.(c) + trip
+  done;
+  let len = c_start.(!cells) in
+  if len - (!cells * trip) > max_spread then
+    Error
+      (Printf.sprintf "simulation fault: wire cells span %d extra waves" (len - (!cells * trip)))
+  else begin
+    let occupant = Array.make len (-1) and carried = Array.make len 0 in
+    let hops = ref 0 in
+    try
+      Array.iteri
+        (fun r src ->
+          for iter = 0 to trip - 1 do
+            let v = values.((iter * n) + src) in
+            let me = (src * trip) + iter in
+            for k = st.first.(r) to st.first.(r + 1) - 1 do
+              let c = step_cell.(k) in
+              let i = c_start.(c) + step_wave.(k) - c_lo.(c) + iter in
+              let o = occupant.(i) in
+              if o < 0 then begin
+                occupant.(i) <- me;
+                carried.(i) <- v;
+                incr hops;
+                mark (st.base.(k) + (iter * ii))
+              end
+              else if o <> me && carried.(i) <> v then
+                raise
+                  (Wire_conflict
+                     (Printf.sprintf
+                        "wire conflict: resource %d cycle %d carries node %d/iter %d and node %d/iter %d"
+                        st.res.(k) (st.base.(k) + (iter * ii)) (o / trip) (o mod trip) src iter))
+            done
+          done)
+        st.src;
+      Ok !hops
+    with Wire_conflict msg -> Error msg
+  end
+
+let run_exn (m : Mapping.t) spm =
+  let trip = m.dfg.Dfg.trip in
+  let st = flatten m in
+  let t0 = if Array.length m.times = 0 then 0 else m.times.(0) in
+  let lo = Array.fold_left min (Array.fold_left min t0 m.times) st.base in
+  let hi = Array.fold_left max (Array.fold_left max t0 m.times) st.base in
+  let n_res = Plaid_arch.Arch.n_resources m.arch in
+  if m.ii < 1 then Error (Printf.sprintf "simulation fault: II %d" m.ii)
+  else if hi - lo > max_spread then
+    Error (Printf.sprintf "simulation fault: schedule spans %d cycles" (hi - lo))
+  else
+    match Array.find_opt (fun r -> r < 0 || r >= n_res) st.res with
+    | Some r -> Error (Printf.sprintf "simulation fault: route through unknown resource %d" r)
+    | None -> (
+      (* A cycle of [0, total) is busy when something fires or a wire
+         carries a value; the mask covers only the cycles the replay can
+         reach. *)
       let total = Mapping.perf_cycles m in
-      (* A cycle stalls when nothing fires and no wire carries a value —
-         the fill/drain bubbles of the modulo schedule. *)
-      let active : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-      List.iter (fun (t, _, _, _) -> Hashtbl.replace active t ()) events;
-      Hashtbl.iter (fun (_res, cycle) _ -> Hashtbl.replace active cycle ()) wires;
-      let busy = ref 0 in
-      Hashtbl.iter (fun c () -> if c >= 0 && c < total then incr busy) active;
-      let stats =
-        { cycles = total; fu_firings = !fu_firings; wire_hops = Hashtbl.length wires;
-          stall_cycles = total - !busy }
+      let mask_lo = max 0 lo in
+      let mask_len = max 0 (min total (hi + ((trip - 1) * m.ii) + 1) - mask_lo) in
+      let active = Bytes.make mask_len '\000' in
+      let mark cycle =
+        let i = cycle - mask_lo in
+        if i >= 0 && i < mask_len then Bytes.unsafe_set active i '\001'
       in
-      Obs.Metrics.add m_firings stats.fu_firings;
-      Obs.Metrics.add m_wire_hops stats.wire_hops;
-      Obs.Metrics.add m_cycles stats.cycles;
-      Obs.Metrics.add m_stalls stats.stall_cycles;
-      Ok stats)
+      let values = fire_all m spm ~mark in
+      match replay_wires m st values ~mark with
+      | Error _ as e -> e
+      | Ok wire_hops ->
+        (* A cycle stalls when nothing fires and no wire carries a value —
+           the fill/drain bubbles of the modulo schedule. *)
+        let busy = ref 0 in
+        Bytes.iter (fun b -> if b <> '\000' then incr busy) active;
+        let stats =
+          { cycles = total; fu_firings = trip * Dfg.n_nodes m.dfg; wire_hops;
+            stall_cycles = total - !busy }
+        in
+        Obs.Metrics.add m_firings stats.fu_firings;
+        Obs.Metrics.add m_wire_hops stats.wire_hops;
+        Obs.Metrics.add m_cycles stats.cycles;
+        Obs.Metrics.add m_stalls stats.stall_cycles;
+        Ok stats)
 
 let run m spm =
   Obs.Trace.with_span ~cat:"sim" "sim.run"

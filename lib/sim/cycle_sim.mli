@@ -13,8 +13,8 @@
     ({!Plaid_arch.Arch.set_faults}), the simulator models the broken
     silicon: a value produced on a faulted FU cell, carried over a faulted
     wire cell or broken link, or read from / written to a faulty SPM bank is
-    corrupted (XOR with an alternating bit pattern — bijective and never
-    equal to the healthy value).  A mapping that avoids every fault
+    corrupted (an odd constant added on the 16-bit datapath — bijective and
+    never equal to the healthy value).  A mapping that avoids every fault
     simulates exactly as on the pristine fabric; a mapping that touches one
     produces wrong memory and is caught by {!verify}. *)
 
@@ -28,7 +28,10 @@ type stats = {
 
 val run : Plaid_mapping.Mapping.t -> Spm.t -> (stats, string) result
 (** Executes the mapping, mutating the SPM.  Errors on wire conflicts or
-    timing inconsistencies (which indicate a mapper/validator bug). *)
+    timing inconsistencies (which indicate a mapper/validator bug), and —
+    for mappings loaded without validation — on an II below 1, a route
+    through a resource the fabric lacks, or a schedule spread over more
+    than 2{^20} cycles. *)
 
 val verify : Plaid_mapping.Mapping.t -> Spm.t -> (stats, string) result
 (** [run] on a copy, then compare against {!Reference.run} on another copy.

@@ -105,6 +105,91 @@ let test_energy_scales_with_cycles () =
   check (Alcotest.float 1e-6) "linear" (2.0 *. e1) e2;
   check Alcotest.bool "fabric energy positive" true (Plaid_model.Energy.fabric_energy st > 0.0)
 
+(* ----------------------------------------------------------- pinned bits *)
+
+(* Area and power reports pinned bit for bit: keys, their order and every
+   float's IEEE bits.  Float addition is not associative, so these also pin
+   the order in which each category is summed. *)
+
+let bits r =
+  List.map (fun (k, v) -> Printf.sprintf "%s %Lx" k (Int64.bits_of_float v)) r
+
+let spatial_fabric = lazy (Plaid_spatial.Spatial.arch ())
+
+(* The st_4x4 mesh with its configuration clock-gated: no readout power. *)
+let gated_st4 =
+  lazy
+    (let a = Lazy.force st4 in
+     Plaid_arch.Arch.set_config a { a.Plaid_arch.Arch.config with clock_gated = true })
+
+let area_pins =
+  [ [ "compute 40ca900000000000"; "compute_config 40a8000000000000"; "comm 40e3980000000000";
+      "comm_config 40cb800000000000"; "regs 40b7c00000000000" ];
+    [ "compute 40ca900000000000"; "compute_config 40a8000000000000"; "comm 40c93a0000000000";
+      "comm_config 40bd000000000000"; "regs 4097c00000000000" ];
+    [ "compute 40cdb00000000000"; "compute_config 4068000000000000"; "comm 40e3980000000000";
+      "comm_config 408b800000000000"; "regs 40b7c00000000000" ];
+    [ "compute 40ca900000000000"; "compute_config 40a8000000000000"; "comm 40e3980000000000";
+      "comm_config 40cb800000000000"; "regs 40b7c00000000000" ] ]
+
+let test_area_pinned () =
+  check
+    Alcotest.(list (list string))
+    "area reports" area_pins
+    (List.map
+       (fun a -> bits (Plaid_model.Area.fabric (Lazy.force a)))
+       [ st4; plaid2; spatial_fabric; gated_st4 ])
+
+(* One route through 1500 distinct (resource, slot) cells, enough that a
+   hash table over them would have resized twice. *)
+let wide_routes (m : Plaid_mapping.Mapping.t) =
+  let n = Plaid_arch.Arch.n_resources m.arch in
+  let e = (List.hd m.routes).re_edge in
+  { m with
+    ii = 8;
+    routes = [ { re_edge = e; re_path = List.init 1500 (fun i -> (i mod n, i / n)) } ] }
+
+let power_pins =
+  [ [ "compute 404786d3a06d3a05"; "compute_config 40330be0ded288ce"; "comm 4051d25d1da0b317";
+      "comm_config 4055d2f1a9fbe76d"; "regs 401d2f1a9fbe76c8" ];
+    [ "compute 4047428f5c28f5c1"; "compute_config 40330be0ded288ce"; "comm 40386631f8a09037";
+      "comm_config 404703afb7e90ff9"; "regs 40134bc6a7ef9db2" ];
+    [ "compute 404711eb851eb852"; "compute_config 3fcd7dbf487fcb92"; "comm 405329d495182a9b";
+      "comm_config 3ff0e5604189374b"; "regs 401d2f1a9fbe76c8" ];
+    [ "compute 404786d3a06d3a05"; "compute_config 400d7dbf487fcb92"; "comm 4051d25d1da0b317";
+      "comm_config 4030e5604189374b"; "regs 401d2f1a9fbe76c8" ];
+    [ "compute 40516a147ae147ae"; "compute_config 40330be0ded288ce"; "comm 406602ea4a8c156b";
+      "comm_config 4055d2f1a9fbe76d"; "regs 403d4bc6a7ef9db2" ] ]
+
+let test_power_pinned () =
+  let st, plaid = Lazy.force mapped_pair in
+  let spatial =
+    match Plaid_spatial.Spatial.run ~seed:3 (Suite.dfg (Suite.find "fc")) with
+    | Ok r -> List.hd r.Plaid_spatial.Spatial.mappings
+    | Error e -> Alcotest.fail e
+  in
+  let gated = { st with Plaid_mapping.Mapping.arch = Lazy.force gated_st4 } in
+  check
+    Alcotest.(list (list string))
+    "power reports" power_pins
+    (List.map
+       (fun m -> bits (Plaid_model.Power.fabric m))
+       [ st; plaid; spatial; gated; wide_routes st ])
+
+(* Clock gating removes the readout term and nothing else: each config
+   category is exactly its area's leakage. *)
+let test_gated_config_is_leakage () =
+  let st, _ = Lazy.force mapped_pair in
+  let gated = Lazy.force gated_st4 in
+  let p = Plaid_model.Power.fabric { st with Plaid_mapping.Mapping.arch = gated } in
+  let a = Plaid_model.Area.fabric gated in
+  List.iter
+    (fun k ->
+      check Alcotest.int64 k
+        (Int64.bits_of_float (Plaid_model.Report.get a k *. Plaid_model.Tech.leakage_per_area))
+        (Int64.bits_of_float (Plaid_model.Report.get p k)))
+    [ "compute_config"; "comm_config" ]
+
 (* ---------------------------------------------------------- JSON export *)
 
 (* The machine-readable export must agree with the ASCII model to the last
@@ -227,6 +312,9 @@ let suites =
         Alcotest.test_case "plaid lower comm config" `Quick test_power_plaid_lower_comm;
         Alcotest.test_case "spatial clock gating" `Quick test_spatial_clock_gating;
         Alcotest.test_case "energy linear in cycles" `Quick test_energy_scales_with_cycles;
+        Alcotest.test_case "area reports pinned" `Quick test_area_pinned;
+        Alcotest.test_case "power reports pinned" `Quick test_power_pinned;
+        Alcotest.test_case "gated config is leakage" `Quick test_gated_config_is_leakage;
       ] );
     ( "model-export",
       [
