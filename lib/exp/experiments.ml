@@ -485,8 +485,7 @@ show up as II loss rather than being annealed away)";
               let wires =
                 float_of_int (Plaid_mapping.Mapping.wire_occupancy m) /. float_of_int (max 1 bw)
               in
-              (* combined: cycle slowdown, with wire traffic as tiebreaker *)
-              cycles *. (1.0 +. (0.0 *. wires)) |> fun c -> (c, wires))
+              (cycles, wires))
             m
         in
         let greedy_r = ratio (run plaid greedy_hier) in

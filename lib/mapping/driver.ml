@@ -53,7 +53,11 @@ let attempt_at ~algo ~arch ~dfg ~cap ~base ii =
   if Option.is_some result then Obs.Metrics.incr m_mapped;
   result
 
-let map ?pool ~algo ~arch ~dfg ~seed () =
+(* The II search over [mii, limit].  [limit] is the config depth for a plain
+   [map]; [best_of] passes one below the best II an earlier entry found, so
+   a search that cannot win stops early.  Only a search that reached the
+   config depth warns: failing under a lower limit is not a failure to map. *)
+let ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () =
   Obs.Trace.with_span ~cat:"driver" "driver.map"
     ~args:[ ("algo", algo_name algo); ("seed", string_of_int seed) ]
     ~result:(fun o ->
@@ -66,16 +70,19 @@ let map ?pool ~algo ~arch ~dfg ~seed () =
   let cap = Plaid_arch.Arch.capacity arch in
   let mii = Analysis.mii dfg cap in
   let max_ii = arch.Plaid_arch.Arch.config.entries in
+  let limit = match limit with Some l -> min l max_ii | None -> max_ii in
+  let give_up tried =
+    if limit = max_ii then
+      Obs.Log.warn ~sub:"driver" "%s: no mapping up to II %d (%s, %d attempts)" dfg.Dfg.name
+        max_ii (algo_name algo) tried;
+    { mapping = None; mii; attempts = tried }
+  in
   let base = Plaid_util.Rng.create seed in
   let attempt = attempt_at ~algo ~arch ~dfg ~cap ~base in
   let width = match pool with Some p -> Plaid_util.Pool.size p | None -> 1 in
   if width <= 1 then begin
     let rec search ii tried =
-      if ii > max_ii then begin
-        Obs.Log.warn ~sub:"driver" "%s: no mapping up to II %d (%s, %d attempts)" dfg.Dfg.name
-          max_ii (algo_name algo) tried;
-        { mapping = None; mii; attempts = tried }
-      end
+      if ii > limit then give_up tried
       else
         match attempt ii with
         | Some mapping -> { mapping = Some mapping; mii; attempts = tried + 1 }
@@ -89,13 +96,9 @@ let map ?pool ~algo ~arch ~dfg ~seed () =
        The attempt count matches the sequential loop: every II up to and
        including the winner counts, speculative overshoot does not. *)
     let rec search lo tried =
-      if lo > max_ii then begin
-        Obs.Log.warn ~sub:"driver" "%s: no mapping up to II %d (%s, %d attempts)" dfg.Dfg.name
-          max_ii (algo_name algo) tried;
-        { mapping = None; mii; attempts = tried }
-      end
+      if lo > limit then give_up tried
       else begin
-        let hi = min max_ii (lo + width - 1) in
+        let hi = min limit (lo + width - 1) in
         let iis = List.init (hi - lo + 1) (fun k -> lo + k) in
         let results = Plaid_util.Pool.run pool (List.map (fun ii () -> attempt ii) iis) in
         let rec first iis results =
@@ -127,6 +130,8 @@ let map ?pool ~algo ~arch ~dfg ~seed () =
     in
     search mii 0
   end
+
+let map ?pool ~algo ~arch ~dfg ~seed () = ii_search ?pool ~algo ~arch ~dfg ~seed ()
 
 (* ------------------------------------------------------ fault repair *)
 
@@ -341,29 +346,30 @@ let best_of ?pool ?(restarts = 1) ~algos ~arch ~dfg ~seed () =
       | Some m -> [ ("ii", string_of_int m.Mapping.ii) ]
       | None -> [ ("mapped", "false") ])
   @@ fun () ->
-  (* Fixed algo-major, restart-minor order; the reduction below keeps the
-     earliest entry on II ties, so the winner is independent of execution
-     interleaving. *)
-  let tasks =
+  (* Fixed algo-major, restart-minor order.  [acc] is what an
+     earliest-wins-ties reduction over every entry searched in full holds at
+     this point: the latest outcome until one maps, then the best.  A mapped
+     [acc] only loses to a strictly lower II, so the next entry searches
+     below it; an attempt is a pure function of its II, so that bounded
+     search finds exactly the II the full one would whenever that II can
+     win. *)
+  let entries =
     List.concat
       (List.mapi
-         (fun i algo ->
-           List.init restarts (fun r ->
-               let seed = seed + (i * 7919) + (r * 104729) in
-               fun () -> map ?pool ~algo ~arch ~dfg ~seed ()))
+         (fun i algo -> List.init restarts (fun r -> (algo, seed + (i * 7919) + (r * 104729))))
          algos)
   in
-  let outcomes =
-    match pool with
-    | Some p when Plaid_util.Pool.size p > 1 -> Plaid_util.Pool.run p tasks
-    | _ -> List.map (fun f -> f ()) tasks
+  let run ?limit (algo, seed) = ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () in
+  let rec walk acc = function
+    | [] -> acc
+    | entry :: rest -> (
+      match acc.mapping with
+      | None -> walk (run entry) rest
+      | Some m when m.Mapping.ii <= acc.mii -> acc
+      | Some m ->
+        let o = run ~limit:(m.Mapping.ii - 1) entry in
+        walk (if Option.is_some o.mapping then o else acc) rest)
   in
-  let better a b =
-    match (a.mapping, b.mapping) with
-    | None, _ -> b
-    | _, None -> a
-    | Some ma, Some mb -> if mb.Mapping.ii < ma.Mapping.ii then b else a
-  in
-  match outcomes with
+  match entries with
   | [] -> assert false
-  | first :: rest -> List.fold_left better first rest
+  | first :: rest -> walk (run first) rest

@@ -60,7 +60,19 @@ val best_of :
     the better of PathFinder and SA for its baselines (Section 6.3).
 
     [~restarts] (default 1) runs each algorithm that many times under
-    distinct derived seeds.  With [~pool] the whole algorithm × restart
-    portfolio races in parallel; the reduction is deterministic (lowest II
-    wins, ties broken by the fixed algo-major/restart-minor order), so the
-    result is identical to the sequential portfolio. *)
+    distinct derived seeds.  The entries are walked one after another in a
+    fixed algo-major, restart-minor order.  The first runs the full II
+    search; once some entry has mapped at II [b], each later one searches
+    only IIs strictly below [b], and the walk stops as soon as [b] equals
+    MII.  An entry that cannot win is never started: it gets no
+    [driver.map] span, and a search cut short by that bound logs no "no
+    mapping" warning.  [~pool] is passed to every entry's {!map}, so the
+    speculative II window still runs on it.
+
+    The result equals the unbounded portfolio reduced with lowest II
+    winning and ties kept by the earlier entry: an attempt at one II is a
+    pure function of (algorithm, fabric, kernel, seed, II), so the bounded
+    search finds exactly the mapping, and counts exactly the attempts, the
+    full search would whenever that mapping could win.  When nothing maps,
+    the last entry's outcome is returned, as that reduction does.  So the
+    result is also the same with and without a pool, at any width. *)

@@ -36,7 +36,9 @@ val incident : t -> int -> int list
 val unrouted : t -> int
 
 val total_cost : t -> float
-(** [1000 * unrouted + total wire cost] — the annealing objective. *)
+(** [1000 * unrouted + length shaping of each unrouted edge + total wire
+    cost] — the annealing objective.  Costs time proportional to the
+    unrouted edges, not to all edges. *)
 
 val path : t -> int -> Route.path option
 

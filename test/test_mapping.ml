@@ -382,6 +382,189 @@ let test_best_of_restarts_deterministic () =
       check Alcotest.bool "restart portfolio identical" true
         (fingerprint (Driver.best_of ~pool ~restarts:3 ~algos ~arch ~dfg ~seed:5 ()) = seq))
 
+(* [best_of] walks its entries in order and bounds each later search below
+   the best II so far.  The reference is the unbounded portfolio: every
+   entry run in full through [Driver.map], reduced with earliest-wins-ties.
+   The two must agree on mapping and attempt count, with and without a
+   pool, including when nothing maps at all. *)
+let unbounded_best_of ?pool ~restarts ~algos ~arch ~dfg ~seed () =
+  let outcomes =
+    List.concat
+      (List.mapi
+         (fun i algo ->
+           List.init restarts (fun r ->
+               Driver.map ?pool ~algo ~arch ~dfg ~seed:(seed + (i * 7919) + (r * 104729)) ()))
+         algos)
+  in
+  let better (a : Driver.outcome) (b : Driver.outcome) =
+    match (a.mapping, b.mapping) with
+    | None, _ -> b
+    | _, None -> a
+    | Some ma, Some mb -> if mb.Mapping.ii < ma.Mapping.ii then b else a
+  in
+  let best = List.fold_left better (List.hd outcomes) (List.tl outcomes) in
+  (* did a later entry beat an earlier mapping, i.e. a bounded search win? *)
+  let first_mapped = List.find_opt (fun (o : Driver.outcome) -> o.mapping <> None) outcomes in
+  (best, match first_mapped with Some o -> o != best | None -> false)
+
+let test_best_of_matches_unbounded_reduction () =
+  let st4 = Lazy.force st4 in
+  (* cholesky_u4 has MII 4; at depth 4 no single-restart entry maps *)
+  let shallow =
+    Plaid_arch.Mesh.build
+      { Plaid_arch.Mesh.spatio_temporal_4x4 with config_entries = 4 }
+      ~name:"st4x4_depth4"
+  in
+  let pf = Driver.Pf Pathfinder.quick and sa = Driver.Sa Anneal.quick in
+  let cases =
+    [ ("gemm_u2", st4); ("atax_u2", st4); ("cholesky_u4", st4); ("cholesky_u4", shallow) ]
+  in
+  let all_failed = ref false and later_won = ref false in
+  List.iter
+    (fun (k, arch) ->
+      let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find k) in
+      List.iter
+        (fun algos ->
+          List.iter
+            (fun restarts ->
+              let run ?pool () =
+                let got = Driver.best_of ?pool ~restarts ~algos ~arch ~dfg ~seed:2025 () in
+                let want, later =
+                  unbounded_best_of ?pool ~restarts ~algos ~arch ~dfg ~seed:2025 ()
+                in
+                if want.Driver.mapping = None then all_failed := true;
+                if later then later_won := true;
+                if fingerprint got <> fingerprint want then
+                  Alcotest.failf
+                    "best_of differs from the unbounded reduction on %s/%s (%s, %d restarts%s)" k
+                    arch.Plaid_arch.Arch.name
+                    (String.concat ","
+                       (List.map (function Driver.Pf _ -> "pf" | Driver.Sa _ -> "sa") algos))
+                    restarts
+                    (if pool = None then "" else ", pool 2")
+              in
+              run ();
+              Plaid_util.Pool.with_pool ~size:2 (fun pool -> run ~pool ()))
+            [ 1; 3 ])
+        [ [ pf; sa ]; [ sa; pf ] ])
+    cases;
+  check Alcotest.bool "the all-fail outcome is covered" true !all_failed;
+  check Alcotest.bool "a bounded later entry wins somewhere" true !later_won
+
+(* PathFinder maps gemm_u2 at MII on st_4x4, so SA cannot beat it and must
+   never start. *)
+let test_best_of_skips_sa_at_mii () =
+  let module Metrics = Plaid_obs.Metrics in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let counter name = List.assoc name (Metrics.snapshot ()).Metrics.counters in
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let arch = Lazy.force st4 in
+      let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "gemm_u2") in
+      let o =
+        Driver.best_of ~algos:[ Driver.Pf Pathfinder.default; Driver.Sa Anneal.default ] ~arch
+          ~dfg ~seed:2025 ()
+      in
+      (match o.Driver.mapping with
+      | Some m -> check Alcotest.int "mapped at MII" o.Driver.mii m.Mapping.ii
+      | None -> Alcotest.fail "gemm_u2 did not map");
+      check Alcotest.bool "pathfinder ran" true (counter "driver/ii_attempts" > 0);
+      check Alcotest.int "sa/moves" 0 (counter "sa/moves"))
+
+(* [Route_table] sums the penalty over its unrouted-edge set only.  Through
+   random releases, routes, undos and retimes, its cost must equal a scan of
+   every edge bit for bit.  The reference mirrors the table's running wire
+   sum with the same float operations in the same order. *)
+let test_route_table_cost_matches_full_scan () =
+  let arch = Lazy.force st4 in
+  let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "atax_u2") in
+  let cap = Plaid_arch.Arch.capacity arch in
+  let ii = Analysis.mii g cap + 1 in
+  let times =
+    match Schedule.compute g ~ii ~cap with Some t -> t | None -> Alcotest.fail "no schedule"
+  in
+  let rng = Plaid_util.Rng.create 7 in
+  let mrrg = Mrrg.create arch ~ii in
+  let place =
+    match Greedy.initial_place mrrg g ~times ~rng with
+    | Some p -> p
+    | None -> Alcotest.fail "no initial placement"
+  in
+  let t = Route_table.create mrrg g ~times ~place in
+  let ne = Array.length g.Dfg.edges in
+  let wire = ref 0.0 in
+  let cost_of i = match Route_table.snapshot_edges t [ i ] with [ (_, _, c) ] -> c | _ -> 0.0 in
+  let route i =
+    if Route_table.path t i = None && Route_table.route_edge t i then
+      if not (Dfg.is_ordering g.Dfg.edges.(i)) then wire := !wire +. cost_of i
+  in
+  let release i =
+    if Route_table.path t i <> None then begin
+      wire := !wire -. cost_of i;
+      Route_table.release_edge t i
+    end
+  in
+  let full_scan () =
+    let penalty = ref 0.0 in
+    Array.iteri
+      (fun i (e : Dfg.edge) ->
+        if Route_table.path t i = None then begin
+          let len = times.(e.dst) - times.(e.src) + (e.dist * ii) in
+          let shape =
+            if len < 1 then 40.0 *. float_of_int (1 - len) else 2.0 *. float_of_int len
+          in
+          penalty := !penalty +. 1000.0 +. shape
+        end)
+      g.Dfg.edges;
+    !penalty +. !wire
+  in
+  let slot time = ((time mod ii) + ii) mod ii in
+  let retime v =
+    let incident = Route_table.incident t v in
+    List.iter release incident;
+    let t' = times.(v) + Plaid_util.Rng.int rng 5 - 2 in
+    if t' <> times.(v) && Mrrg.fu_free mrrg ~fu:place.(v) ~slot:(slot t') then begin
+      Mrrg.unplace_node mrrg ~node:v ~fu:place.(v) ~slot:(slot times.(v));
+      Mrrg.place_node mrrg ~node:v ~fu:place.(v) ~slot:(slot t');
+      times.(v) <- t'
+    end;
+    List.iter route incident
+  in
+  let undo i =
+    match Route_table.snapshot_edges t [ i ] with
+    | [ (_, Some path, c) ] ->
+      release i;
+      Route_table.restore_edge t i path c;
+      wire := !wire +. c
+    | _ -> ()
+  in
+  Route_table.route_all t;
+  Array.iteri
+    (fun i (e : Dfg.edge) ->
+      if (not (Dfg.is_ordering e)) && Route_table.path t i <> None then
+        wire := !wire +. cost_of i)
+    g.Dfg.edges;
+  for step = 1 to 3000 do
+    (match Plaid_util.Rng.int rng 4 with
+    | 0 -> release (Plaid_util.Rng.int rng ne)
+    | 1 -> route (Plaid_util.Rng.int rng ne)
+    | 2 -> retime (Plaid_util.Rng.int rng (Dfg.n_nodes g))
+    | _ -> undo (Plaid_util.Rng.int rng ne));
+    let unrouted = ref 0 in
+    for i = 0 to ne - 1 do
+      if Route_table.path t i = None then incr unrouted
+    done;
+    check Alcotest.int (Printf.sprintf "unrouted after step %d" step) !unrouted
+      (Route_table.unrouted t);
+    if Int64.bits_of_float (Route_table.total_cost t) <> Int64.bits_of_float (full_scan ()) then
+      Alcotest.failf "step %d: total_cost %h, full scan %h" step (Route_table.total_cost t)
+        (full_scan ())
+  done
+
 (* Property: for random small reduction DFGs, SA produces valid mappings. *)
 let prop_sa_valid =
   QCheck.Test.make ~name:"SA mappings validate" ~count:12
@@ -445,6 +628,8 @@ let suites =
         Alcotest.test_case "negative t_src" `Quick test_route_negative_t_src;
         Alcotest.test_case "self loop" `Quick test_route_self_loop;
         Alcotest.test_case "respects occupancy" `Quick test_route_respects_occupancy;
+        Alcotest.test_case "route table cost = full scan" `Quick
+          test_route_table_cost_matches_full_scan;
       ] );
     ( "mappers",
       [
@@ -461,6 +646,9 @@ let suites =
         Alcotest.test_case "best_of pool 2/4" `Quick test_best_of_parallel_deterministic;
         Alcotest.test_case "II search pool 2/4" `Quick test_map_parallel_ii_search_deterministic;
         Alcotest.test_case "restart portfolio" `Quick test_best_of_restarts_deterministic;
+        Alcotest.test_case "bounded walk = unbounded reduction" `Quick
+          test_best_of_matches_unbounded_reduction;
+        Alcotest.test_case "no annealing after MII" `Quick test_best_of_skips_sa_at_mii;
       ] );
     ("mapping-properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250705 |]) t) [ prop_sa_valid ]);
   ]

@@ -58,8 +58,10 @@ let contains ~needle haystack =
 (* --- traced map run ---------------------------------------------------- *)
 
 let () =
+  (* atax_u4: PathFinder misses MII on st_4x4, so best_of still anneals
+     and the trace carries sa spans *)
   let rc =
-    sh "%s map -k gemm_u2 -a st -j 2 --trace trace.json --metrics -o gemm.map > map.out 2> map.err"
+    sh "%s map -k atax_u4 -a st -j 2 --trace trace.json --metrics -o atax.map > map.out 2> map.err"
       plaidc
   in
   if rc <> 0 then fail "traced map exited %d" rc;
@@ -91,23 +93,23 @@ let () =
 let () =
   (* break node 0's schedule time so the replayed event order is wrong *)
   let corrupted =
-    String.split_on_char '\n' (read_file "gemm.map")
+    String.split_on_char '\n' (read_file "atax.map")
     |> List.map (fun line ->
            if String.length line >= 7 && String.sub line 0 7 = "time 0 " then "time 0 9999"
            else line)
     |> String.concat "\n"
   in
-  let oc = open_out "gemm_bad.map" in
+  let oc = open_out "atax_bad.map" in
   output_string oc corrupted;
   close_out oc;
   (* the validating loader must reject it: one stderr line, exit 2 *)
-  let rc = sh "%s run -f gemm_bad.map > bad.out 2> bad.err" plaidc in
+  let rc = sh "%s run -f atax_bad.map > bad.out 2> bad.err" plaidc in
   if rc <> 2 then fail "corrupted mapfile: expected load failure (exit 2), got %d" rc;
   if String.trim (read_file "bad.out") <> "" then
     fail "corrupted-mapfile diagnostic leaked to stdout";
   (match String.split_on_char '\n' (String.trim (read_file "bad.err")) with
   | [ line ] ->
-    if not (contains ~needle:"gemm_bad.map" line) then
+    if not (contains ~needle:"atax_bad.map" line) then
       fail "corrupted-mapfile diagnostic does not name the file"
   | lines -> fail "corrupted mapfile: expected one stderr line, got %d" (List.length lines));
   (* unreadable and truncated inputs take the same one-line exit-2 path *)
@@ -115,23 +117,23 @@ let () =
   if rc <> 2 then fail "missing mapfile: expected exit 2, got %d" rc;
   if String.trim (read_file "miss.err") = "" then
     fail "missing mapfile printed nothing on stderr";
-  let gemm = read_file "gemm.map" in
-  let oc = open_out "gemm_cut.map" in
-  output_string oc (String.sub gemm 0 (String.length gemm / 2));
+  let atax = read_file "atax.map" in
+  let oc = open_out "atax_cut.map" in
+  output_string oc (String.sub atax 0 (String.length atax / 2));
   close_out oc;
-  let rc = sh "%s run -f gemm_cut.map > cut.out 2> cut.err" plaidc in
+  let rc = sh "%s run -f atax_cut.map > cut.out 2> cut.err" plaidc in
   if rc <> 2 then fail "truncated mapfile: expected exit 2, got %d" rc;
   let rc = sh "%s compile -f nonexistent.k > nok.out 2> nok.err" plaidc in
   if rc <> 2 then fail "missing kernel source: expected exit 2, got %d" rc;
   (* with validation skipped it must reach the simulator and mismatch *)
-  let rc = sh "%s run -f gemm_bad.map --no-validate > bad2.out 2> bad2.err" plaidc in
+  let rc = sh "%s run -f atax_bad.map --no-validate > bad2.out 2> bad2.err" plaidc in
   if rc <> 1 then fail "--no-validate on corrupted mapfile: expected exit 1, got %d" rc;
   if not (contains ~needle:"simulation MISMATCH" (read_file "bad2.err")) then
     fail "mismatch message missing from stderr";
   if contains ~needle:"MISMATCH" (read_file "bad2.out") then
     fail "mismatch message leaked to stdout";
   (* and the pristine file still verifies cleanly *)
-  let rc = sh "%s run -f gemm.map > good.out 2> good.err" plaidc in
+  let rc = sh "%s run -f atax.map > good.out 2> good.err" plaidc in
   if rc <> 0 then fail "pristine mapfile: expected exit 0, got %d" rc
 
 (* --- fault campaigns --------------------------------------------------- *)
@@ -209,7 +211,7 @@ let () =
      served from disk (no recompute) with a byte-identical payload, and
      the payload must equal the mapfile the one-shot CLI wrote *)
   let oc = open_out "serve.req" in
-  output_string oc "map kernel=gemm_u2 arch=st seed=2025\nquit\n";
+  output_string oc "map kernel=atax_u4 arch=st seed=2025\nquit\n";
   close_out oc;
   let rc = sh "%s serve --cache-dir srvcache < serve.req > pass1.out 2> serve1.err" plaidc in
   if rc <> 0 then fail "serve pass 1 exited %d" rc;
@@ -227,7 +229,7 @@ let () =
   if first_payload p1 = "" then fail "serve pass 1 returned no payload";
   if first_payload p1 <> first_payload p2 then
     fail "served payload differs between passes";
-  if first_payload p1 <> read_file "gemm.map" then
+  if first_payload p1 <> read_file "atax.map" then
     fail "served payload differs from the mapfile 'plaidc map -o' writes";
   if not (contains ~needle:"cache_hit_disk" (read_file "serve2.err")) then
     fail "serve --metrics does not surface the cache counters";
