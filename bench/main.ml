@@ -149,83 +149,6 @@ let run_speedup () =
 "
     t_seq jobs t_par (t_seq /. t_par)
 
-(* --- router hot-path speedup ------------------------------------------- *)
-
-(* The fast search core (A* over precomputed hop bounds, indexed heap,
-   per-domain scratch arena, footprint-validated memo) against the
-   baseline lazy-deletion Dijkstra core, under the same incremental
-   negotiation.  The two cores are contractually byte-identical in their
-   results — asserted here per kernel, sequentially and under a pool —
-   so the only thing allowed to differ is wall clock. *)
-let router_kernels =
-  [ "gemm_u2"; "conv3x3"; "jacobi_u2"; "bicg_u2"; "dwconv_u5"; "gemver_u2";
-    "cholesky_u4"; "fdtd_u2" ]
-
-let run_router_speedup () =
-  Plaid_exp.Ascii.heading
-    (Printf.sprintf "Router search-core speedup (fast vs baseline, -j 1 and -j %d)" jobs);
-  let arch = Lazy.force st_arch in
-  let algos =
-    [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.default;
-      Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.default ]
-  in
-  let with_core forced f =
-    Fun.protect
-      ~finally:(fun () -> Plaid_mapping.Route.set_baseline None)
-      (fun () ->
-        Plaid_mapping.Route.set_baseline (Some forced);
-        f ())
-  in
-  let map_one ?pool k =
-    let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find k) in
-    Plaid_mapping.Driver.best_of ?pool ~restarts:2 ~algos ~arch ~dfg ~seed:7 ()
-  in
-  let blob o =
-    match o.Plaid_mapping.Driver.mapping with
-    | Some m -> Plaid_mapping.Mapfile.to_string m
-    | None -> "(unmapped)"
-  in
-  (* warm-up: build the arch route tables once so neither timed pass pays
-     the one-off cost *)
-  ignore (with_core false (fun () -> map_one "dwconv"));
-  ignore (with_core true (fun () -> map_one "dwconv"));
-  let timed forced =
-    with_core forced (fun () ->
-        List.map (fun k -> time (fun () -> map_one k)) router_kernels)
-  in
-  let fast = timed false in
-  let slow = timed true in
-  Printf.printf "  %-12s %10s %10s %8s\n" "kernel" "baseline" "fast" "ratio";
-  let log_sum = ref 0.0 in
-  List.iter2
-    (fun k ((of_, tf), (os, ts)) ->
-      if blob of_ <> blob os then
-        failwith (Printf.sprintf "router bench: cores disagree on %s" k);
-      let r = ts /. tf in
-      log_sum := !log_sum +. log r;
-      Printf.printf "  %-12s %9.3fs %9.3fs %7.2fx\n" k ts tf r)
-    router_kernels
-    (List.combine fast slow);
-  let geomean = exp (!log_sum /. float_of_int (List.length router_kernels)) in
-  (* the byte-identity contract must also hold under a worker pool *)
-  Plaid_util.Pool.with_pool ~size:jobs (fun pool ->
-      let pf = with_core false (fun () -> List.map (map_one ~pool) router_kernels) in
-      let ps = with_core true (fun () -> List.map (map_one ~pool) router_kernels) in
-      List.iter2
-        (fun a b ->
-          if blob a <> blob b then
-            failwith "router bench: cores disagree under a pool")
-        pf ps;
-      List.iter2
-        (fun a b ->
-          if blob a <> blob b then
-            failwith "router bench: pooled mappings differ from sequential")
-        pf (List.map fst fast));
-  Printf.printf "  geomean speedup %.2fx (%s; mappings byte-identical at -j 1 and -j %d)\n\n"
-    geomean
-    (if geomean >= 2.0 then "PASS >= 2x" else "FAIL < 2x")
-    jobs
-
 (* --- fault repair cost ------------------------------------------------- *)
 
 (* The deterministic reports count repair effort in displaced nodes and II
@@ -455,7 +378,6 @@ let run_serve_obs_overhead () =
 let () =
   Plaid_util.Pool.with_pool ~size:jobs run_experiments;
   run_speedup ();
-  run_router_speedup ();
   run_cache_cold_warm ();
   Plaid_util.Pool.with_pool ~size:jobs run_dse_cold_warm;
   run_fault_repair ();

@@ -11,26 +11,6 @@ let max_detour = 64
 let m_finds = Obs.Metrics.counter "route/finds"
 let m_memo_hits = Obs.Metrics.counter "route/memo_hits"
 let m_memo_misses = Obs.Metrics.counter "route/memo_misses"
-let m_baseline_finds = Obs.Metrics.counter "route/baseline_finds"
-
-(* --------------------------------------------------------- baseline gate *)
-
-(* [PLAID_ROUTE_BASELINE=1] (or [set_baseline (Some true)]) swaps the
-   indexed-heap/A*/memo search core for a plain lazy-deletion Dijkstra over
-   freshly allocated arrays.  Both cores implement the same canonical
-   tie-breaking contract (documented on [find]) and therefore return
-   byte-identical results — the differential CI gate replays the corpus
-   through both.  The toggle is an Atomic so tests and benches can flip it
-   for worker domains spawned through the pool. *)
-let baseline_override : bool option Atomic.t = Atomic.make None
-
-let set_baseline b = Atomic.set baseline_override b
-
-let baseline_active () =
-  match Atomic.get baseline_override with
-  | Some b -> b
-  | None -> (
-    match Sys.getenv_opt "PLAID_ROUTE_BASELINE" with Some "1" -> true | _ -> false)
 
 (* ------------------------------------------------------------ cost model *)
 
@@ -60,13 +40,13 @@ let step_cost mrrg ~mode ~res ~slot =
     let present = float_of_int (Mrrg.presence mrrg ~res ~slot) in
     (base *. (1.0 +. (present_factor *. present))) +. history.(res).(slot)
 
-(* ------------------------------------------------- shared search helpers *)
+(* -------------------------------------------------------- search helpers *)
 
 (* A path must not reuse a (resource, slot) cell at a different elapsed
    time: the value would collide with itself one iteration apart (e.g. a
    register held for >= II cycles).  Under a frozen (spatial)
    configuration any second visit at a different delay conflicts — a
-   static mux cannot feed the same wire twice.  Since both cores finalize
+   static mux cannot feed the same wire twice.  Since the search finalizes
    prev chains at pop time, walking the popped state's chain is sound. *)
 let chain_conflict ~prev ~start ~len1 ~ii ~exclusive s_popped res' e' =
   let rec walk s =
@@ -161,84 +141,7 @@ let memo_valid mrrg ~mode entry =
   done;
   !ok
 
-(* ------------------------------------------------------- baseline core *)
-
-(* Lazy-deletion Dijkstra over fresh arrays, no heuristic, no memo — the
-   straightforward implementation the fast core is differentially checked
-   against. *)
-let find_baseline mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
-  Obs.Metrics.incr m_baseline_finds;
-  let arch = Mrrg.arch mrrg in
-  let n = Plaid_arch.Arch.n_resources arch in
-  let fu_ok = arch.Plaid_arch.Arch.allow_fu_routethrough in
-  (* state id = res * (length+1) + elapsed *)
-  let len1 = length + 1 in
-  let nstates = n * len1 in
-  let dist = Array.make nstates infinity in
-  let prev = Array.make nstates (-1) in
-  let popped = Array.make nstates false in
-  let q = Plaid_util.Pqueue.create () in
-  let start = src_fu * len1 in
-  dist.(start) <- 0.0;
-  Plaid_util.Pqueue.push q 0.0 start;
-  let target = (dst_fu * len1) + length in
-  let ii = Mrrg.ii mrrg in
-  let exclusive = Mrrg.exclusive mrrg in
-  let finished = ref false in
-  while (not !finished) && not (Plaid_util.Pqueue.is_empty q) do
-    match Plaid_util.Pqueue.pop q with
-    | None -> finished := true
-    | Some (d, s) ->
-      (* Keep draining until the popped priority strictly exceeds the best
-         target distance: equal-priority states may still rewrite
-         [prev target] under the canonical tie rule. *)
-      if d > dist.(target) then finished := true
-      else if d <= dist.(s) && not popped.(s) then begin
-        popped.(s) <- true;
-        if s <> target then begin
-          let res = s / len1 and elapsed = s mod len1 in
-          List.iter
-            (fun (dst, lat) ->
-              let e' = elapsed + lat in
-              if e' <= length then begin
-                let is_target = dst = dst_fu && e' = length in
-                let intermediate_fu =
-                  match (Plaid_arch.Arch.resource arch dst).kind with
-                  | Plaid_arch.Arch.Fu _ -> not is_target
-                  | _ -> false
-                in
-                if (not intermediate_fu) || fu_ok then begin
-                  let slot = slot_of mrrg t_src e' in
-                  let signal = { Mrrg.s_node = src_node; s_elapsed = e' } in
-                  let passable =
-                    if is_target then true (* consumer FU is not occupied by the route *)
-                    else
-                      usable mrrg ~mode ~res:dst ~slot signal
-                      && not (chain_conflict ~prev ~start ~len1 ~ii ~exclusive s dst e')
-                  in
-                  if passable then begin
-                    let c = if is_target then 0.0 else step_cost mrrg ~mode ~res:dst ~slot in
-                    let nd = d +. c in
-                    let s' = (dst * len1) + e' in
-                    if nd < dist.(s') then begin
-                      dist.(s') <- nd;
-                      prev.(s') <- s;
-                      Plaid_util.Pqueue.push q nd s'
-                    end
-                    else if
-                      nd = dist.(s') && s < prev.(s') && ((not popped.(s')) || s' = target)
-                    then prev.(s') <- s
-                  end
-                end
-              end)
-            arch.Plaid_arch.Arch.out_links.(res)
-        end
-      end
-  done;
-  if dist.(target) = infinity then None
-  else Some (reconstruct ~prev ~start ~len1 ~dst_fu ~length target, dist.(target))
-
-(* ----------------------------------------------------------- fast core *)
+(* ---------------------------------------------------------- search core *)
 
 (* Per-domain scratch arena: epoch-stamped dist/prev/popped state arrays,
    a reusable indexed heap, and a footprint-mark array for memo probe
@@ -273,14 +176,14 @@ let ensure_arena a ~nstates ~ncells =
   Plaid_util.Iheap.clear a.a_heap;
   a.a_epoch <- a.a_epoch + 1
 
-(* A* search over the same state space, using the architecture's hop table
-   as a consistent lower bound (every non-target step costs >= 1.0 and the
-   target entry is free, so [hops - 1] never overestimates), the latency
-   table to prune states that cannot reach the target within the remaining
-   cycle budget (such states are never on any surviving prev chain), CSR
-   adjacency, and an indexed heap with decrease-key.  Optionally records
-   the probe footprint for the memo. *)
-let find_fast mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
+(* A* search over states [res * (length+1) + elapsed], using the
+   architecture's hop table as a consistent lower bound (every non-target
+   step costs >= 1.0 and the target entry is free, so [hops - 1] never
+   overestimates), the latency table to prune states that cannot reach the
+   target within the remaining cycle budget (such states are never on any
+   surviving prev chain), CSR adjacency, and an indexed heap with
+   decrease-key.  Optionally records the probe footprint for the memo. *)
+let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
   let arch = Mrrg.arch mrrg in
   let n = Plaid_arch.Arch.n_resources arch in
   let fu_ok = arch.Plaid_arch.Arch.allow_fu_routethrough in
@@ -331,6 +234,9 @@ let find_fast mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
     else begin
       let g = dist.(s) in
       let res = s / len1 and elapsed = s mod len1 in
+      (* Keep draining until the popped priority strictly exceeds the best
+         target distance: equal-priority states may still rewrite
+         [prev target] under the canonical tie rule. *)
       if g +. h res > !dist_target then finished := true
       else begin
         pop.(s) <- epoch;
@@ -418,14 +324,12 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
        combinational path out of an FU, which the architecture contract
        (FU out-links have latency 1) rules out. *)
     if src_fu = dst_fu then Some ([], 0.0) else None
-  else if baseline_active () then
-    find_baseline mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode
   else begin
     let arch = Mrrg.arch mrrg in
     let n = Plaid_arch.Arch.n_resources arch in
     let ii = Mrrg.ii mrrg in
     if not (memo_keyable ~n ~ii ~src_node) then
-      fst (find_fast mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:false)
+      fst (search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:false)
     else begin
       let soft, pf =
         match mode with Hard -> (false, 0.0) | Soft s -> (true, s.present_factor)
@@ -440,7 +344,7 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
       | _ ->
         Obs.Metrics.incr m_memo_misses;
         let result, probes =
-          find_fast mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:true
+          search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:true
         in
         if Hashtbl.length memo.memo_tbl >= memo_capacity then
           Hashtbl.reset memo.memo_tbl;

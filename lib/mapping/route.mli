@@ -13,26 +13,14 @@
     [`Soft] mode, used by PathFinder, occupied resources are usable at a
     price that grows with present congestion and accumulated history.
 
-    {2 Search cores and the canonical-result contract}
+    {2 Search}
 
-    Two interchangeable search cores back {!find}:
-
-    - the {e fast} core (default): A* over the architecture's precomputed
-      hop-distance lower bounds ({!Plaid_arch.Arch.route_tables}), an
-      indexed heap with decrease-key, per-domain scratch arenas reused
-      across calls, latency-table pruning of states that cannot reach the
-      target in the remaining budget, and an exact footprint-validated
-      memo for repeated queries;
-    - the {e baseline} core ([PLAID_ROUTE_BASELINE=1] or {!set_baseline}):
-      plain lazy-deletion Dijkstra over fresh arrays, no heuristic, no
-      memo.
-
-    Both implement the same canonical tie-breaking rule — among
-    equal-cost predecessors the smallest state id wins, and the search
-    drains every state whose priority does not exceed the target's final
-    distance — so the chosen path is a pure function of the query and the
-    MRRG occupancy, independent of heap internals.  The two cores return
-    byte-identical results; CI replays the corpus through both. *)
+    {!find} runs A* over the architecture's precomputed hop-distance lower
+    bounds ({!Plaid_arch.Arch.route_tables}), with an indexed heap with
+    decrease-key, per-domain scratch arenas reused across calls,
+    latency-table pruning of states that cannot reach the target in the
+    remaining budget, and an exact footprint-validated memo for repeated
+    queries. *)
 
 type mode =
   | Hard
@@ -55,7 +43,14 @@ val find :
     a zero-length edge is routable exactly when [src_fu = dst_fu] (the
     empty path, cost 0 — the consumer reads the value the cycle it is
     produced); negative lengths and lengths beyond {!max_detour} are
-    unroutable. *)
+    unroutable.
+
+    Ties are broken canonically: among equal-cost predecessors the
+    smallest state id wins, and the search drains every state whose
+    priority does not exceed the target's final distance.  The chosen
+    path is therefore a pure function of the query and the MRRG
+    occupancy, independent of heap internals and of the memo; the test
+    suite checks it against a plain Dijkstra reference. *)
 
 val occupy_path : Mrrg.t -> src_node:int -> t_src:int -> path -> unit
 
@@ -64,12 +59,3 @@ val release_path : Mrrg.t -> src_node:int -> t_src:int -> path -> unit
 val max_detour : int
 (** Router gives up on lengths beyond this (schedule too loose to be
     sensible); drivers keep lengths small. *)
-
-val set_baseline : bool option -> unit
-(** Override the search-core choice for this process: [Some true] forces
-    the baseline Dijkstra core, [Some false] forces the fast core, [None]
-    (the initial state) defers to the [PLAID_ROUTE_BASELINE] environment
-    variable.  Atomic, so the choice is visible to pool worker domains. *)
-
-val baseline_active : unit -> bool
-(** Whether {!find} currently uses the baseline core. *)

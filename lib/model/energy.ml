@@ -1,14 +1,2 @@
 let fabric_energy m =
   Tech.energy_pj ~power_uw:(Power.fabric_total m) ~cycles:(Plaid_mapping.Mapping.perf_cycles m)
-
-let system_energy m ~spm_kb =
-  Tech.energy_pj ~power_uw:(Power.system m ~spm_kb)
-    ~cycles:(Plaid_mapping.Mapping.perf_cycles m)
-
-let perf_per_area (m : Plaid_mapping.Mapping.t) =
-  let seconds =
-    float_of_int (Plaid_mapping.Mapping.perf_cycles m) *. Tech.cycle_ns *. 1e-9
-  in
-  let iters_per_s = float_of_int m.dfg.Plaid_ir.Dfg.trip /. seconds in
-  let mm2 = Area.fabric_total m.arch /. 1e6 in
-  iters_per_s /. mm2

@@ -1,10 +1,4 @@
-(** Energy and efficiency metrics for mapped kernels (Figures 14-16, 19). *)
+(** Energy of mapped kernels (Figure 14). *)
 
 val fabric_energy : Plaid_mapping.Mapping.t -> float
 (** Fabric power x execution time, in pJ — what Figure 14 plots. *)
-
-val system_energy : Plaid_mapping.Mapping.t -> spm_kb:int -> float
-
-val perf_per_area : Plaid_mapping.Mapping.t -> float
-(** Iterations per second per mm^2 of fabric (Figure 15's metric up to a
-    constant; only ratios are ever reported). *)

@@ -78,18 +78,21 @@ let pack g ~budget_nodes ~budget_memory =
     g.Dfg.edges;
   (* Kahn's algorithm, always releasing the ready SCC whose earliest member
      comes first in program order: keeps each producer-consumer chain (e.g.
-     one unrolled copy) contiguous so cuts cross few edges. *)
+     one unrolled copy) contiguous so cuts cross few edges.  First members
+     are distinct per SCC, so the pop order is total. *)
   let first_member = Array.map (fun ms -> List.fold_left min max_int ms) members in
-  let ready = Plaid_util.Pqueue.create () in
-  Array.iteri
-    (fun c d -> if d = 0 then Plaid_util.Pqueue.push ready (float_of_int first_member.(c)) c)
-    indeg;
+  let ready = Plaid_util.Iheap.create () in
+  Plaid_util.Iheap.reserve ready n_comp;
+  let release c =
+    Plaid_util.Iheap.insert ready c ~key:(float_of_int first_member.(c)) ~sec:0.0
+  in
+  Array.iteri (fun c d -> if d = 0 then release c) indeg;
   let order = ref [] in
   let continue_ = ref true in
   while !continue_ do
-    match Plaid_util.Pqueue.pop ready with
-    | None -> continue_ := false
-    | Some (_, c) ->
+    match Plaid_util.Iheap.pop ready with
+    | -1 -> continue_ := false
+    | c ->
       order := c :: !order;
       List.iter
         (fun v ->
@@ -97,10 +100,7 @@ let pack g ~budget_nodes ~budget_memory =
             (fun (e : Dfg.edge) ->
               if comp.(e.dst) <> c then begin
                 indeg.(comp.(e.dst)) <- indeg.(comp.(e.dst)) - 1;
-                if indeg.(comp.(e.dst)) = 0 then
-                  Plaid_util.Pqueue.push ready
-                    (float_of_int first_member.(comp.(e.dst)))
-                    comp.(e.dst)
+                if indeg.(comp.(e.dst)) = 0 then release comp.(e.dst)
               end)
             (Dfg.succs g v))
         members.(c)

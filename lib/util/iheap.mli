@@ -1,7 +1,6 @@
 (** Indexed binary min-heap over dense integer ids with decrease-key.
 
-    Replaces the lazy-deletion {!Pqueue} pattern on the router's hot path:
-    each id holds at most one slot, so the heap never accumulates stale
+    Each id holds at most one slot, so the heap never accumulates stale
     entries and a search pops each state exactly once.
 
     Ordering is lexicographic on [(key, sec, id)] — ties between equal

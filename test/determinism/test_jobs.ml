@@ -1,13 +1,16 @@
 (* Parallel-vs-sequential determinism gate, run from `dune runtest` under
    both -j 1 and -j 4 (see the dune rules in this directory).
 
-   Two independent checks:
+   Three independent checks:
 
    1. [Driver.best_of] on a pool of the requested width must return the
       same outcome — mapping, II, attempt count — as the sequential path,
       for several suite kernels.
 
-   2. [Experiments.run] over a representative subset must emit the same
+   2. Mappings the router decides must hash to the golden digests
+      checked in below.
+
+   3. [Experiments.run] over a representative subset must emit the same
       bytes and the same summaries from a -j N context as from a fresh
       sequential context.  This is the acceptance criterion that the
       regenerated report is independent of worker count. *)
@@ -53,40 +56,49 @@ let check_mapper pool =
         fail "best_of(%s) differs between sequential and -j %d" kernel jobs)
     [ "dwconv"; "atax_u2"; "cholesky_u2" ]
 
-(* ------------------------------------------- router search-core identity *)
+(* ------------------------------------------------------ golden digests *)
 
-(* The differential fast-path gate at mapper level: forcing the baseline
-   Dijkstra core must reproduce the fast (A* + memo) core's mappings bit
-   for bit, sequentially and under a pool.  Run here so the gate holds at
-   both -j 1 and -j 4. *)
-let check_router_cores pool =
+(* MD5s of [Mapfile.to_string] for mappings the router decides, recorded
+   when a plain Dijkstra core still shipped beside the A* + memo one and
+   both produced exactly these bytes.  Checked at -j 1 and -j 4, so any
+   change to the router's search or tie-breaking shows up here. *)
+let golden_best_of =
+  [ ("dwconv", "6894498ed66aa8f4a8a383c536752867");
+    ("atax_u2", "70c6794855329663861899735075720b");
+    ("cholesky_u2", "41ded15058a1d0375a4939605412befa") ]
+
+(* [plaidc map -k <kernel> -a st]'s mapper, at its default seed *)
+let golden_map_st =
+  [ ("gemm_u2", "d9d1ff4871902acd845218e186e04dbd");
+    ("conv3x3", "b54410cb5c75fd3b740065577422b187");
+    ("cholesky_u4", "c024da0064fefcaddf1461946f9ca270") ]
+
+let blob_md5 m =
+  Digest.to_hex
+    (Digest.string (match m with None -> "" | Some m -> Plaid_mapping.Mapfile.to_string m))
+
+let check_golden_digests pool =
   let arch = Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_4x4 ~name:"st4" in
   let algos =
     [ Plaid_mapping.Driver.Pf Plaid_mapping.Pathfinder.quick;
       Plaid_mapping.Driver.Sa Plaid_mapping.Anneal.quick ]
   in
-  let with_core forced f =
-    Fun.protect
-      ~finally:(fun () -> Plaid_mapping.Route.set_baseline None)
-      (fun () ->
-        Plaid_mapping.Route.set_baseline (Some forced);
-        f ())
+  let expect what kernel want got =
+    if got <> want then
+      fail "%s(%s) mapfile md5 %s, golden %s (-j %d)" what kernel got want jobs
   in
   List.iter
-    (fun kernel ->
+    (fun (kernel, want) ->
       let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find kernel) in
-      let fast =
-        with_core false (fun () ->
-            Plaid_mapping.Driver.best_of ~pool ~algos ~arch ~dfg ~seed:17 ())
-      in
-      let slow =
-        with_core true (fun () ->
-            Plaid_mapping.Driver.best_of ~pool ~algos ~arch ~dfg ~seed:17 ())
-      in
-      if fingerprint fast <> fingerprint slow then
-        fail "best_of(%s) differs between fast and baseline router cores (-j %d)" kernel
-          jobs)
-    [ "dwconv"; "atax_u2"; "cholesky_u2" ]
+      let o = Plaid_mapping.Driver.best_of ~pool ~algos ~arch ~dfg ~seed:17 () in
+      expect "best_of" kernel want (blob_md5 o.Plaid_mapping.Driver.mapping))
+    golden_best_of;
+  let ctx = Plaid_exp.Ctx.create ~pool () in
+  List.iter
+    (fun (kernel, want) ->
+      expect "map_st" kernel want
+        (blob_md5 (Plaid_exp.Ctx.map_st ctx (Plaid_workloads.Suite.find kernel))))
+    golden_map_st
 
 (* --------------------------------------------------- experiment identity *)
 
@@ -246,7 +258,7 @@ let check_obs_invariance pool =
 let () =
   Plaid_util.Pool.with_pool ~size:jobs (fun pool ->
       check_mapper pool;
-      check_router_cores pool;
+      check_golden_digests pool;
       check_experiments pool;
       check_cache_invariance pool;
       check_dse pool;

@@ -2,7 +2,8 @@
    campaigns, case-file round trips, worker-count determinism, the greedy
    shrinker (including a deliberately planted mapper bug it must reduce to
    a tiny witness), metamorphic unrolling over the workload suite, and the
-   permanent regression gate replaying every case under test/corpus/. *)
+   permanent regression gate replaying every case under test/corpus/ and
+   pinning the mapping each one gets to a golden digest. *)
 
 open Plaid_check
 open Plaid_mapping
@@ -15,26 +16,66 @@ let corpus_dir () =
   List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d)
     [ "corpus"; "test/corpus"; "../../../test/corpus" ]
 
-let test_corpus_replays () =
+(* every corpus case, in file-name order *)
+let corpus_cases () =
   match corpus_dir () with
   | None -> Alcotest.fail "test/corpus/ not found"
   | Some dir ->
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".case")
-      |> List.sort compare
-    in
-    check Alcotest.bool "corpus is non-empty" true (files <> []);
-    List.iter
-      (fun f ->
-        match Case.load ~path:(Filename.concat dir f) with
-        | Error e -> Alcotest.failf "%s does not parse: %s" f e
-        | Ok c -> (
-          let o = Oracle.run c in
-          match o.Oracle.o_failure with
-          | Some fl -> Alcotest.failf "%s regressed [%s]: %s" f fl.Oracle.fail_kind fl.Oracle.fail_detail
-          | None -> ()))
-      files
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".case")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Case.load ~path:(Filename.concat dir f) with
+           | Error e -> Alcotest.failf "%s does not parse: %s" f e
+           | Ok c -> (f, c))
+
+let test_corpus_replays () =
+  let cases = corpus_cases () in
+  check Alcotest.bool "corpus is non-empty" true (cases <> []);
+  List.iter
+    (fun (f, c) ->
+      let o = Oracle.run c in
+      match o.Oracle.o_failure with
+      | Some fl -> Alcotest.failf "%s regressed [%s]: %s" f fl.Oracle.fail_kind fl.Oracle.fail_detail
+      | None -> ())
+    cases
+
+(* MD5 of the mapfile each corpus case gets through the serve [case]
+   request path ([Compile.for_fabric] on the case's faulted fabric, at the
+   case's seed).  Recorded when a plain Dijkstra router core still shipped
+   beside the A* + memo one and both produced these bytes; a new corpus
+   case needs its digest added here. *)
+let golden_corpus =
+  [ ("exact_route_backtrack.case", "57e75d763a0b2e2c87693d34089976d8");
+    ("seed2026_trial000.case", "21f33c81eeae0d6d9de555437b0c333f");
+    ("seed2026_trial001.case", "d0e7adb36b9ef921af2135dc20af8a9f");
+    ("seed2026_trial002.case", "95630a113a655322b7cb6b2ba22506e2");
+    ("seed2026_trial003.case", "ed7fa4efe982fdc27d6e574c196ea594");
+    ("seed2026_trial004.case", "888a23ffb92f86b17c557f788a6b399f");
+    ("seed2026_trial005.case", "6f1281c9e28c1d9c1715dfeb54d856ea");
+    ("seed2026_trial006.case", "4601923eb355e3c21f4e4c9a63dde807");
+    ("seed2026_trial007.case", "70bab9bc2aa5c3e424cf60f7b523def2");
+    ("seed2026_trial008.case", "cec1319dccd6b70ffe29fe3bf5a519e5");
+    ("seed2026_trial009.case", "e1ea41a1d0363973e9607f1090e6c222");
+    ("tight_self_recurrence.case", "340dc6d8191b1927696532b82b16a95d") ]
+
+let test_corpus_digests () =
+  let cases = corpus_cases () in
+  check Alcotest.(list string) "every corpus case has a golden digest"
+    (List.map fst golden_corpus) (List.map fst cases);
+  List.iter2
+    (fun (f, c) (_, want) ->
+      let arch, pcu = Case.build c in
+      let blob =
+        match
+          Plaid_serve.Compile.run (Plaid_serve.Compile.for_fabric pcu) ~arch ~dfg:c.Case.dfg
+            ~seed:c.Case.seed
+        with
+        | None -> ""
+        | Some m -> Mapfile.to_string m
+      in
+      check Alcotest.string f want (Digest.to_hex (Digest.string blob)))
+    cases golden_corpus
 
 (* ------------------------------------------------------- case round trip *)
 
@@ -168,7 +209,9 @@ let test_unroll_preserves_semantics () =
 let suites =
   [
     ( "fuzz-corpus",
-      [ Alcotest.test_case "every corpus case replays green" `Quick test_corpus_replays ] );
+      [ Alcotest.test_case "every corpus case replays green" `Quick test_corpus_replays;
+        Alcotest.test_case "every corpus case maps to its golden digest" `Quick
+          test_corpus_digests ] );
     ( "fuzz-harness",
       [
         Alcotest.test_case "case round trip" `Quick test_case_roundtrip;

@@ -1,6 +1,5 @@
-(* Tests for the synthetic DFG generator, the per-cycle power trace, and
-   utilization analytics — plus generator-driven fuzzing of the whole
-   mapping pipeline on both fabrics. *)
+(* Tests for the synthetic DFG generator and utilization analytics — plus
+   generator-driven fuzzing of the whole mapping pipeline on both fabrics. *)
 
 open Plaid_ir
 
@@ -71,7 +70,7 @@ let prop_families_map_everywhere =
           st_ok && plaid_ok)
         (Generate.all_families spec))
 
-(* ------------------------------------------------------------ power trace *)
+(* ------------------------------------------------------------ utilization *)
 
 let mapped =
   lazy
@@ -85,36 +84,6 @@ let mapped =
      with
     | Some m -> m
     | None -> Alcotest.fail "gemm_u2 should map")
-
-let test_trace_shape () =
-  let m = Lazy.force mapped in
-  let t = Plaid_sim.Power_trace.trace m in
-  check Alcotest.int "one sample per cycle" (Plaid_mapping.Mapping.perf_cycles m)
-    (Array.length t.per_cycle_uw);
-  check Alcotest.bool "peak >= average" true (t.peak_uw >= t.average_uw);
-  check Alcotest.bool "power positive" true (t.average_uw > 0.0)
-
-let test_trace_matches_steady_state () =
-  check Alcotest.bool "mid-window agrees with averaged model" true
-    (Plaid_sim.Power_trace.steady_state_matches (Lazy.force mapped))
-
-let test_trace_ramps () =
-  (* the pipeline-fill window carries less total activity than a mid-stream
-     window; compare whole II windows so the check is phase-independent *)
-  let m = Lazy.force mapped in
-  let t = Plaid_sim.Power_trace.trace m in
-  let ii = m.Plaid_mapping.Mapping.ii in
-  let window start =
-    let sum = ref 0.0 in
-    for c = start to start + ii - 1 do
-      sum := !sum +. t.per_cycle_uw.(c)
-    done;
-    !sum
-  in
-  let mid = ii * (Array.length t.per_cycle_uw / ii / 2) in
-  check Alcotest.bool "fill ramp" true (window 0 <= window mid)
-
-(* ------------------------------------------------------------ utilization *)
 
 let test_utilization_bounds () =
   let m = Lazy.force mapped in
@@ -139,12 +108,6 @@ let suites =
         Alcotest.test_case "in-place stencil recurrence" `Quick test_inplace_stencil_has_recurrence;
         Alcotest.test_case "reduction lanes" `Quick test_reduction_lanes;
         Test_qc.to_alcotest prop_families_map_everywhere;
-      ] );
-    ( "power-trace",
-      [
-        Alcotest.test_case "shape" `Quick test_trace_shape;
-        Alcotest.test_case "steady state" `Quick test_trace_matches_steady_state;
-        Alcotest.test_case "fill ramp" `Quick test_trace_ramps;
       ] );
     ( "utilization",
       [

@@ -1,4 +1,4 @@
-(* Tests for plaid_util and plaid_ir: RNG determinism, priority queue order,
+(* Tests for plaid_util and plaid_ir: RNG determinism,
    DFG construction/validation, MII analysis, kernel DSL semantics, lowering
    and unrolling correctness (including qcheck properties). *)
 
@@ -35,29 +35,6 @@ let test_rng_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check Alcotest.(array int) "permutation" (Array.init 50 (fun i -> i)) sorted
-
-let test_pqueue_ordering () =
-  let q = Plaid_util.Pqueue.create () in
-  let rng = Plaid_util.Rng.create 11 in
-  let items = List.init 200 (fun i -> (Plaid_util.Rng.float rng 100.0, i)) in
-  List.iter (fun (p, v) -> Plaid_util.Pqueue.push q p v) items;
-  let rec drain last acc =
-    match Plaid_util.Pqueue.pop q with
-    | None -> acc
-    | Some (p, _) ->
-      if p < last then Alcotest.fail "heap order violated";
-      drain p (acc + 1)
-  in
-  check Alcotest.int "drained all" 200 (drain neg_infinity 0)
-
-let test_pqueue_empty () =
-  let q = Plaid_util.Pqueue.create () in
-  check Alcotest.bool "empty" true (Plaid_util.Pqueue.is_empty q);
-  check Alcotest.bool "pop none" true (Plaid_util.Pqueue.pop q = None);
-  Plaid_util.Pqueue.push q 1.0 "x";
-  check Alcotest.int "len" 1 (Plaid_util.Pqueue.length q);
-  Plaid_util.Pqueue.clear q;
-  check Alcotest.bool "cleared" true (Plaid_util.Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------- ops *)
 
@@ -400,8 +377,6 @@ let suites =
         Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
         Alcotest.test_case "rng split" `Quick test_rng_split_independent;
         Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
-        Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
-        Alcotest.test_case "pqueue empty" `Quick test_pqueue_empty;
       ] );
     ( "op",
       [

@@ -1,13 +1,11 @@
-(* Router hot-path overhaul tests: Pqueue retention/growth regressions,
-   indexed-heap properties against a reference model, zero-length route
-   semantics, the architecture route tables, and the differential gate
-   that the fast (A* + memo) and baseline (plain Dijkstra) search cores
-   return byte-identical results. *)
+(* Router tests: indexed-heap properties against a reference model,
+   zero-length route semantics, the architecture route tables, and a
+   differential check of [Route.find] (A* + memo) against a plain
+   lazy-deletion Dijkstra reference kept here in the test suite. *)
 
 open Plaid_mapping
 module Arch = Plaid_arch.Arch
 module Mesh = Plaid_arch.Mesh
-module Pqueue = Plaid_util.Pqueue
 module Iheap = Plaid_util.Iheap
 
 let check = Alcotest.check
@@ -16,63 +14,6 @@ let st4 = lazy (Mesh.build Mesh.spatio_temporal_4x4 ~name:"st4")
 
 let fu_of pe =
   Mesh.fu_of_pe Mesh.spatio_temporal_4x4 ~row:(pe / 4) ~col:(pe mod 4)
-
-(* ---------------------------------------------------------------- pqueue *)
-
-(* Keep allocation out of the caller's frame so the only strong reference
-   to the pushed value is the queue's backing array. *)
-let[@inline never] push_tracked q w =
-  let v = Bytes.make 64 'x' in
-  Weak.set w 0 (Some v);
-  Pqueue.push q 1.0 v
-
-let collected w =
-  Gc.full_major ();
-  Gc.full_major ();
-  Weak.get w 0 = None
-
-let test_pqueue_pop_releases () =
-  let q = Pqueue.create () in
-  let w = Weak.create 1 in
-  push_tracked q w;
-  (* a second live entry keeps the backing array allocated, so the test
-     exercises the freed-tail-slot aliasing, not the array drop *)
-  Pqueue.push q 2.0 Bytes.empty;
-  ignore (Pqueue.pop q);
-  check Alcotest.bool "popped value is collectable while queue lives" true (collected w);
-  ignore (Pqueue.pop q)
-
-let test_pqueue_emptied_releases () =
-  let q = Pqueue.create () in
-  let w = Weak.create 1 in
-  push_tracked q w;
-  ignore (Pqueue.pop q);
-  check Alcotest.bool "value of emptied queue is collectable" true (collected w)
-
-let test_pqueue_clear_releases () =
-  let q = Pqueue.create () in
-  let w = Weak.create 1 in
-  push_tracked q w;
-  Pqueue.clear q;
-  check Alcotest.bool "cleared value is collectable" true (collected w)
-
-(* push into a drained-but-previously-grown queue: the old growth scheme
-   seeded the new array from data.(0) and crashed here *)
-let test_pqueue_push_after_drain () =
-  let q = Pqueue.create () in
-  for i = 0 to 40 do
-    Pqueue.push q (float_of_int (40 - i)) i
-  done;
-  while Pqueue.pop q <> None do
-    ()
-  done;
-  Pqueue.clear q;
-  for i = 0 to 40 do
-    Pqueue.push q (float_of_int i) i
-  done;
-  check
-    (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) Alcotest.int))
-    "min pops first after drain-refill" (Some (0.0, 0)) (Pqueue.pop q)
 
 (* ----------------------------------------------------------------- iheap *)
 
@@ -169,33 +110,18 @@ let test_route_length_zero () =
   let arch = Lazy.force st4 in
   let mrrg = Mrrg.create arch ~ii:2 in
   let fu = fu_of 5 in
-  let each_core f =
-    List.iter
-      (fun forced ->
-        Fun.protect
-          ~finally:(fun () -> Route.set_baseline None)
-          (fun () ->
-            Route.set_baseline (Some forced);
-            f (if forced then "baseline" else "fast")))
-      [ true; false ]
-  in
-  each_core (fun core ->
-      (match Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:fu ~length:0 ~mode:Route.Hard with
-      | Some ([], 0.0) -> ()
-      | Some _ -> Alcotest.failf "%s: zero-length same-FU route is not the empty path" core
-      | None -> Alcotest.failf "%s: zero-length same-FU route must exist" core);
-      check Alcotest.bool
-        (core ^ ": zero-length cross-FU is unroutable")
-        true
-        (Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:(fu_of 6) ~length:0
-           ~mode:Route.Hard
-        = None);
-      check Alcotest.bool
-        (core ^ ": negative length is unroutable")
-        true
-        (Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:fu ~length:(-1)
-           ~mode:Route.Hard
-        = None))
+  (match Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:fu ~length:0 ~mode:Route.Hard with
+  | Some ([], 0.0) -> ()
+  | Some _ -> Alcotest.fail "zero-length same-FU route is not the empty path"
+  | None -> Alcotest.fail "zero-length same-FU route must exist");
+  check Alcotest.bool "zero-length cross-FU is unroutable" true
+    (Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:(fu_of 6) ~length:0
+       ~mode:Route.Hard
+    = None);
+  check Alcotest.bool "negative length is unroutable" true
+    (Route.find mrrg ~src_fu:fu ~src_node:0 ~t_src:1 ~dst_fu:fu ~length:(-1)
+       ~mode:Route.Hard
+    = None)
 
 (* ----------------------------------------------------------- route tables *)
 
@@ -245,14 +171,116 @@ let test_route_tables_consistent () =
   check Alcotest.bool "original tables unaffected by set_faults" true
     (Char.code (Bytes.get rt.Arch.rt_hop ((dst * n) + src)) <> 255)
 
-(* ------------------------------------------- fast vs baseline equivalence *)
+(* --------------------------------------------------- reference router *)
 
-(* The differential gate, in-process: identical queries against identical
-   occupancy must produce structurally identical (path, cost) results from
-   both search cores — including repeat queries (memo hits) and queries
-   after occupancy mutations (memo invalidation). *)
-let prop_cores_agree =
-  QCheck.Test.make ~name:"fast and baseline search cores agree" ~count:60
+(* A plain lazy-deletion Dijkstra over fresh arrays, written against the
+   public Mrrg/Arch API only: no heuristic, no memo, no route tables.  It
+   follows [Route.find]'s canonical tie rule (smallest predecessor id among
+   equal costs; drain every state whose priority does not exceed the
+   target's distance), so both must return structurally equal results. *)
+module Frontier = Set.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+let reference_find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
+  let arch = Mrrg.arch mrrg in
+  let ii = Mrrg.ii mrrg in
+  let exclusive = Mrrg.exclusive mrrg in
+  let len1 = length + 1 in
+  let nstates = Arch.n_resources arch * len1 in
+  let dist = Array.make nstates infinity in
+  let prev = Array.make nstates (-1) in
+  let popped = Array.make nstates false in
+  let start = src_fu * len1 and target = (dst_fu * len1) + length in
+  let slot_of e = (((t_src + e) mod ii) + ii) mod ii in
+  let usable res slot signal =
+    match mode with
+    | Route.Hard -> Mrrg.can_use mrrg ~res ~slot signal
+    | Route.Soft _ ->
+      (not (Mrrg.blocked mrrg ~res ~slot)) && Mrrg.node_at mrrg ~fu:res ~slot = None
+  in
+  let step_cost res slot =
+    let base = Arch.base_route_cost arch res in
+    match mode with
+    | Route.Hard -> base
+    | Route.Soft { present_factor; history } ->
+      let present = float_of_int (Mrrg.presence mrrg ~res ~slot) in
+      (base *. (1.0 +. (present_factor *. present))) +. history.(res).(slot)
+  in
+  (* revisiting a resource at a different elapsed time collides modulo II,
+     or at all under a frozen (exclusive) configuration *)
+  let rec conflicts s res' e' =
+    s <> start
+    && ((s / len1 = res'
+        && s mod len1 <> e'
+        && (exclusive || ((s mod len1) - e') mod ii = 0))
+       || conflicts prev.(s) res' e')
+  in
+  let expand q d s =
+    let res = s / len1 and elapsed = s mod len1 in
+    List.fold_left
+      (fun q (dst, lat) ->
+        let e' = elapsed + lat in
+        let is_target = dst = dst_fu && e' = length in
+        let through_fu =
+          match (Arch.resource arch dst).Arch.kind with Arch.Fu _ -> not is_target | _ -> false
+        in
+        if e' > length || (through_fu && not arch.Arch.allow_fu_routethrough) then q
+        else begin
+          let slot = slot_of e' in
+          let passable =
+            is_target
+            || usable dst slot { Mrrg.s_node = src_node; s_elapsed = e' }
+               && not (conflicts s dst e')
+          in
+          if not passable then q
+          else begin
+            let nd = d +. if is_target then 0.0 else step_cost dst slot in
+            let s' = (dst * len1) + e' in
+            if nd < dist.(s') then begin
+              dist.(s') <- nd;
+              prev.(s') <- s;
+              Frontier.add (nd, s') q
+            end
+            else begin
+              if nd = dist.(s') && s < prev.(s') && ((not popped.(s')) || s' = target) then
+                prev.(s') <- s;
+              q
+            end
+          end
+        end)
+      q arch.Arch.out_links.(res)
+  in
+  let rec loop q =
+    match Frontier.min_elt_opt q with
+    | None -> ()
+    | Some (d, _) when d > dist.(target) -> ()
+    | Some ((d, s) as top) ->
+      let q = Frontier.remove top q in
+      if d > dist.(s) || popped.(s) then loop q
+      else begin
+        popped.(s) <- true;
+        loop (if s = target then q else expand q d s)
+      end
+  in
+  dist.(start) <- 0.0;
+  loop (Frontier.singleton (0.0, start));
+  if dist.(target) = infinity then None
+  else begin
+    let rec walk s acc =
+      if s = start then acc else walk prev.(s) ((s / len1, s mod len1) :: acc)
+    in
+    Some (List.filter (fun step -> step <> (dst_fu, length)) (walk target []), dist.(target))
+  end
+
+(* Identical queries against identical occupancy must give structurally
+   identical (path, cost) results from [Route.find] and the reference —
+   including repeat queries (memo hits) and queries after occupancy
+   mutations (memo invalidation). *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"search matches the Dijkstra reference" ~count:60
     QCheck.(
       make
         ~print:(fun (a, b, l, ii, t, soft) ->
@@ -272,59 +300,45 @@ let prop_cores_agree =
       let mode =
         if soft then Route.Soft { present_factor = 0.7; history } else Route.Hard
       in
-      let query mrrg =
-        Route.find mrrg ~src_fu:(fu_of src_pe) ~src_node:3 ~t_src ~dst_fu:(fu_of dst_pe)
-          ~length:len ~mode
-      in
+      let src_fu = fu_of src_pe and dst_fu = fu_of dst_pe in
+      let mrrg = Mrrg.create arch ~ii in
       (* pre-congest the fabric deterministically so soft pricing and
          sharing rules are exercised, not just empty-fabric shortest paths *)
-      let congest mrrg =
-        List.iter
-          (fun (spe, dpe, l, node, t0) ->
-            match
-              Route.find mrrg ~src_fu:(fu_of spe) ~src_node:node ~t_src:t0
-                ~dst_fu:(fu_of dpe) ~length:l ~mode:Route.Hard
-            with
-            | Some (p, _) -> Route.occupy_path mrrg ~src_node:node ~t_src:t0 p
-            | None -> ())
-          [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2) ]
+      List.iter
+        (fun (spe, dpe, l, node, t0) ->
+          match
+            Route.find mrrg ~src_fu:(fu_of spe) ~src_node:node ~t_src:t0 ~dst_fu:(fu_of dpe)
+              ~length:l ~mode:Route.Hard
+          with
+          | Some (p, _) -> Route.occupy_path mrrg ~src_node:node ~t_src:t0 p
+          | None -> ())
+        [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2) ];
+      let agree () =
+        Route.find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
+        = reference_find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
       in
-      let run forced =
-        Fun.protect
-          ~finally:(fun () -> Route.set_baseline None)
-          (fun () ->
-            Route.set_baseline (Some forced);
-            let mrrg = Mrrg.create arch ~ii in
-            congest mrrg;
-            let r1 = query mrrg in
-            let r2 = query mrrg in
-            (* mutate occupancy, then query again: the fast core's memo
-               must notice the footprint change *)
-            let r3 =
-              match r1 with
-              | Some (p, _) when p <> [] ->
-                Route.occupy_path mrrg ~src_node:3 ~t_src p;
-                let r = query mrrg in
-                Route.release_path mrrg ~src_node:3 ~t_src p;
-                r
-              | _ -> query mrrg
-            in
-            (r1, r2, r3))
+      let first = agree () in
+      let repeat = agree () in
+      (* mutate occupancy, then query again: the memo must notice the
+         footprint change *)
+      let mutated =
+        match Route.find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode with
+        | Some (p, _) when p <> [] ->
+          Route.occupy_path mrrg ~src_node:3 ~t_src p;
+          let ok = agree () in
+          Route.release_path mrrg ~src_node:3 ~t_src p;
+          ok
+        | _ -> agree ()
       in
-      run true = run false)
+      first && repeat && mutated)
 
 (* ----------------------------------------------------------------- suite *)
 
 let suites =
   [ ( "router",
-      [ Alcotest.test_case "pqueue pop releases popped value" `Quick test_pqueue_pop_releases;
-        Alcotest.test_case "pqueue emptied queue releases values" `Quick
-          test_pqueue_emptied_releases;
-        Alcotest.test_case "pqueue clear releases values" `Quick test_pqueue_clear_releases;
-        Alcotest.test_case "pqueue push after drain" `Quick test_pqueue_push_after_drain;
-        Alcotest.test_case "zero-length routes" `Quick test_route_length_zero;
+      [ Alcotest.test_case "zero-length routes" `Quick test_route_length_zero;
         Alcotest.test_case "route tables consistent with links" `Quick
           test_route_tables_consistent;
         Test_qc.to_alcotest prop_iheap_matches_model;
         Test_qc.to_alcotest prop_iheap_clear_reuse;
-        Test_qc.to_alcotest prop_cores_agree ] ) ]
+        Test_qc.to_alcotest prop_matches_reference ] ) ]
