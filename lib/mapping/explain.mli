@@ -37,7 +37,9 @@ val with_attempt : algo:string -> ii:int -> mapped:('a -> bool) -> (unit -> 'a) 
 
 val phase : string -> (unit -> 'a) -> 'a
 (** Time a named phase of the current attempt ("schedule", "place",
-    "route").  Passthrough when disabled or outside {!with_attempt}. *)
+    "route", or "port-bound" for an II the hierarchical mapper skips
+    without annealing).  Passthrough when disabled or outside
+    {!with_attempt}. *)
 
 val add_iterations : int -> unit
 (** Accumulate negotiation/annealing iterations onto the current attempt. *)

@@ -435,6 +435,24 @@ let run_once ?(params = default) plaid g hier ~ii ~base ~rng =
       None
     end
 
+(* --- II-1 port bound ---------------------------------------------------- *)
+
+(* Distinct nodes outside motif [m] with a data edge, of any distance, into
+   one of its members. *)
+let n_outside_sources g m =
+  let members = Motif.nodes m in
+  List.concat_map (Dfg.preds g) members
+  |> List.filter_map (fun (e : Dfg.edge) ->
+         if Dfg.is_ordering e || List.mem e.src members then None else Some e.src)
+  |> List.sort_uniq compare
+  |> List.length
+
+let port_bound_admits g hier ~ii =
+  ii > 1
+  || Array.for_all
+       (fun m -> n_outside_sources g m <= Pcu.global_in_legs)
+       hier.Motif_gen.motifs
+
 let map_hier ?(params = default) ~plaid ~hier ~seed dfg =
   let g = dfg in
   let cap = Plaid_arch.Arch.capacity plaid.Pcu.arch in
@@ -466,9 +484,18 @@ let map_hier ?(params = default) ~plaid ~hier ~seed dfg =
               | Error msg -> invalid_arg ("Hier_mapper: invalid mapping: " ^ msg))
             | None -> restart base (r + 1)
         in
-        List.fold_left
-          (fun acc base -> match acc with Some _ -> acc | None -> restart base 0)
-          None schedules
+        if port_bound_admits g hier ~ii then
+          List.fold_left
+            (fun acc base -> match acc with Some _ -> acc | None -> restart base 0)
+            None schedules
+        else
+          (* skip the hopeless anneal, but draw the restart streams its
+             failures would have drawn, so later IIs map byte-identically *)
+          Explain.phase "port-bound" @@ fun () ->
+          for _ = 1 to params.restarts * List.length schedules do
+            ignore (Plaid_util.Rng.split rng)
+          done;
+          None
       in
       match result with
       | Some m -> { mapping = Some m; hier; mii }

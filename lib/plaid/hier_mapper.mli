@@ -34,6 +34,13 @@ type outcome = {
   mii : int;
 }
 
+val port_bound_admits : Plaid_ir.Dfg.t -> Motif_gen.hier -> ii:int -> bool
+(** [false] only when no hierarchical mapping of the cover can exist at
+    [ii]: at II 1 a motif fills all three ALUs of its PCU in the only
+    slot, so each distinct source outside the motif with a data edge into
+    it needs its own global-to-local leg ({!Pcu.global_in_legs}).  Always
+    [true] above II 1.  {!map_hier} skips the IIs this rejects. *)
+
 val default_hier : seed:int -> Plaid_ir.Dfg.t -> Motif_gen.hier
 (** The motif cover {!map} would generate for this seed — deterministic
     and cheap relative to the anneal, so cache hits can reconstruct an

@@ -19,6 +19,8 @@ type ports = {
 
 let dirs = [| "n"; "s"; "e"; "w" |]
 
+let global_in_legs = 2
+
 (* Build one PCU's internals; returns the ports needed for mesh wiring. *)
 let build_pcu b ~row ~col ~memory ~hardwired ~bypass =
   let tile = (row, col) in
@@ -46,7 +48,9 @@ let build_pcu b ~row ~col ~memory ~hardwired ~bypass =
   (* two parallel legs each way between the routers: the local router
      "delivers inputs to each of the three ALUs per cycle", so a single
      global-to-local wire would starve motifs of external operands *)
-  let lr_from_gr = Array.init 2 (fun i -> res (Printf.sprintf "lr_from_gr%d" i) Arch.Port) in
+  let lr_from_gr =
+    Array.init global_in_legs (fun i -> res (Printf.sprintf "lr_from_gr%d" i) Arch.Port)
+  in
   let lr_to_gr = Array.init 2 (fun i -> res (Printf.sprintf "lr_to_gr%d" i) Arch.Port) in
   let gregs = Array.init 2 (fun i -> res ~cls:"reg" (Printf.sprintf "greg%d" i) Arch.Reg) in
   (* ALSU result goes onto the global datapath; operands come from it. *)
@@ -95,7 +99,9 @@ let build_pcu b ~row ~col ~memory ~hardwired ~bypass =
     (* Hardwired motif: fixed ALU-to-ALU wiring replaces the local router;
        operands arrive from / results leave to the global datapath through
        single shared legs. *)
-    let feed = Array.init 2 (fun i -> res (Printf.sprintf "hw_feed%d" i) Arch.Port) in
+    let feed =
+      Array.init global_in_legs (fun i -> res (Printf.sprintf "hw_feed%d" i) Arch.Port)
+    in
     let drain = res "hw_drain" Arch.Port in
     Array.iteri (fun i f -> Arch.add_link b ~src:lr_from_gr.(i) ~dst:f ~latency:0) feed;
     Array.iter

@@ -37,6 +37,13 @@ type t = {
   cols : int;
 }
 
+val global_in_legs : int
+(** Global-to-local legs ([lr_from_gr]) per PCU.  Every value from
+    outside a PCU crosses one of them before the local router, its hold
+    registers or a hardwired PCU's feed ports pass it to an ALU.  A leg
+    carries one signal per slot, so at II 1 a motif filling the three
+    ALUs reads at most this many distinct outside values. *)
+
 val build :
   ?specialize:(int -> Motif.kind option) ->
   ?bypass:bool ->

@@ -192,6 +192,52 @@ let test_pcu_bypass () =
     check Alcotest.bool "bypass may also route via local router" true (List.length path > 0)
   | None -> Alcotest.fail "no route between adjacent ALUs"
 
+(* Hier_mapper's II-1 port bound rests on this: walking links backwards
+   from a PCU's ALUs, and stopping at those ALUs (a motif's members at II 1)
+   and at the PCU's global-to-local legs, reaches no other functional unit.
+   So every value from outside enters through one of the legs. *)
+let check_outside_enters_by_legs name (p : Pcu.t) =
+  let a = p.Pcu.arch in
+  let n = Plaid_arch.Arch.n_resources a in
+  Array.iter
+    (fun (u : Pcu.pcu) ->
+      let prefix = Printf.sprintf "pcu%d_%d.lr_from_gr" u.row u.col in
+      let legs =
+        List.filter
+          (fun r -> String.starts_with ~prefix (Plaid_arch.Arch.resource a r).rname)
+          (List.init n Fun.id)
+      in
+      check Alcotest.int (name ^ " " ^ prefix) Pcu.global_in_legs (List.length legs);
+      let stop r = Array.mem r u.alus || List.mem r legs in
+      let seen = Array.make n false in
+      let rec visit r =
+        if not seen.(r) then begin
+          seen.(r) <- true;
+          List.iter
+            (fun (src, _) ->
+              if not (stop src) then begin
+                let res = Plaid_arch.Arch.resource a src in
+                (match res.kind with
+                | Plaid_arch.Arch.Fu _ ->
+                  Alcotest.failf "%s: %s reaches pcu%d_%d's ALUs around its legs" name
+                    res.rname u.row u.col
+                | _ -> ());
+                visit src
+              end)
+            a.Plaid_arch.Arch.in_links.(r)
+        end
+      in
+      Array.iter visit u.alus)
+    p.Pcu.pcus
+
+let test_pcu_outside_enters_by_legs () =
+  List.iter
+    (fun (name, p) -> check_outside_enters_by_legs name (Lazy.force p))
+    [ ("plaid_2x2", plaid2);
+      ("plaid_3x3", lazy (Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" ()));
+      ("no bypass", lazy (Pcu.build ~bypass:false ~rows:2 ~cols:2 ~name:"plaid_nobypass" ()));
+      ("plaid_ml", lazy (Specialize.plaid_ml ())) ]
+
 (* ------------------------------------------------------------ hier mapper *)
 
 let test_hier_maps_suite_sample () =
@@ -229,6 +275,99 @@ let test_hier_respects_mii () =
   | Some m ->
     check Alcotest.bool "II >= RecMII" true
       (m.Plaid_mapping.Mapping.ii >= Plaid_ir.Analysis.rec_mii g)
+
+(* A unicast motif a -> m -> c whose members read [outside] distinct loads;
+   one load feeds two operands, and a loop-carried read still counts. *)
+let port_bound_case outside =
+  let b = Dfg.builder ~trip:4 "ports" in
+  let load i = Dfg.add_node b ~access:{ array = "x"; offset = i; stride = 1 } Op.Load in
+  let l1 = load 0 and l2 = load 1 in
+  let a = Dfg.add_node b Op.Add in
+  let m = Dfg.add_node b Op.Mul in
+  let c = Dfg.add_node b ~imms:[ (1, 3) ] Op.Sub in
+  Dfg.add_edge b ~src:l1 ~dst:a ~operand:0 ();
+  Dfg.add_edge b ~src:l2 ~dst:a ~operand:1 ();
+  Dfg.add_edge b ~src:a ~dst:m ~operand:0 ();
+  if outside = 3 then Dfg.add_edge b ~dist:1 ~src:(load 2) ~dst:m ~operand:1 ()
+  else Dfg.add_edge b ~src:l1 ~dst:m ~operand:1 ();
+  Dfg.add_edge b ~src:m ~dst:c ~operand:0 ();
+  let st = Dfg.add_node b ~access:{ array = "y"; offset = 0; stride = 1 } Op.Store in
+  Dfg.add_edge b ~src:c ~dst:st ~operand:0 ();
+  let g = Dfg.finish b in
+  let motif = { Motif.kind = Motif.Unicast; n1 = a; n2 = m; n3 = c } in
+  check Alcotest.bool "unicast motif" true (Motif.matches g motif);
+  let owner = Array.init (Dfg.n_nodes g) (fun v -> if List.mem v (Motif.nodes motif) then 0 else -1) in
+  (g, { Motif_gen.motifs = [| motif |]; owner })
+
+let test_hier_port_bound () =
+  let admits outside ii =
+    let g, hier = port_bound_case outside in
+    Hier_mapper.port_bound_admits g hier ~ii
+  in
+  check Alcotest.bool "3 outside values at II 1" false (admits 3 1);
+  check Alcotest.bool "2 outside values at II 1" true (admits 2 1);
+  check Alcotest.bool "3 outside values at II 2" true (admits 3 2);
+  check Alcotest.bool "2 outside values at II 2" true (admits 2 2)
+
+(* Mapfile digests recorded before the port bound existed, with default
+   parameters: skipping a bound-rejected II must leave every mapping
+   byte-identical. *)
+let test_hier_golden_mapfiles () =
+  let plaid_2x2 = Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" () in
+  let plaid_3x3 = Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" () in
+  let dse_plaid3 =
+    let space = Option.get (Plaid_dse.Space.find_preset "paper") in
+    let c =
+      List.find
+        (fun c -> Plaid_dse.Space.name c = "plaid3x3_c16_spm16")
+        space.Plaid_dse.Space.candidates
+    in
+    Option.get (Plaid_dse.Space.build c).Plaid_dse.Space.pcu
+  in
+  List.iter
+    (fun (kernel, plaid, seed, want) ->
+      let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find kernel) in
+      match (Hier_mapper.map ~plaid ~seed g).Hier_mapper.mapping with
+      | None -> Alcotest.failf "%s: unmapped" kernel
+      | Some m ->
+        check Alcotest.string kernel want
+          (Digest.to_hex (Digest.string (Plaid_mapping.Mapfile.to_string m))))
+    [ ("jacobi", plaid_2x2, 2025, "80f732f9d9e9f96eeed7497da91d4b0a");
+      ("seidel_u2", plaid_3x3, 2025, "4664044e20ed12f4dadab8789d435c19");
+      (* the seed Plaid_dse.Eval derives for this candidate under campaign
+         seed 2025 *)
+      ("dwconv", dse_plaid3, 1258643394961280375, "3bc4a2582d22fe68f9dd856c9191abd3") ]
+
+(* An II the port bound rejects is recorded, but never annealed. *)
+let test_hier_skips_rejected_ii () =
+  let p = Lazy.force plaid2 in
+  let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "jacobi") in
+  let hier = Hier_mapper.default_hier ~seed:2025 g in
+  let module E = Plaid_mapping.Explain in
+  E.reset ();
+  E.set_enabled true;
+  let attempts =
+    Fun.protect
+      ~finally:(fun () ->
+        E.set_enabled false;
+        E.reset ())
+      (fun () ->
+        ignore (Hier_mapper.map_hier ~params:Hier_mapper.quick ~plaid:p ~hier ~seed:2025 g);
+        E.attempts ())
+  in
+  let rejected =
+    List.filter
+      (fun (at : E.attempt) -> not (Hier_mapper.port_bound_admits g hier ~ii:at.at_ii))
+      attempts
+  in
+  check Alcotest.bool "jacobi's II 1 is rejected" true (rejected <> []);
+  List.iter
+    (fun (at : E.attempt) ->
+      check Alcotest.bool "not mapped" false at.at_mapped;
+      check Alcotest.int (Printf.sprintf "II %d iterations" at.at_ii) 0 at.at_iterations;
+      check Alcotest.bool "port-bound phase" true
+        (List.exists (fun (ph : E.phase) -> ph.ph_name = "port-bound") at.at_phases))
+    rejected
 
 (* ---------------------------------------------------------- specialization *)
 
@@ -291,12 +430,16 @@ let suites =
         Alcotest.test_case "config bits near paper" `Quick test_pcu_config_bits_near_paper;
         Alcotest.test_case "local routes cheap" `Quick test_pcu_local_routes_cheap;
         Alcotest.test_case "bypass" `Quick test_pcu_bypass;
+        Alcotest.test_case "outside values enter by legs" `Quick test_pcu_outside_enters_by_legs;
       ] );
     ( "hier-mapper",
       [
         Alcotest.test_case "maps suite sample" `Slow test_hier_maps_suite_sample;
         Alcotest.test_case "deterministic" `Quick test_hier_deterministic;
         Alcotest.test_case "respects MII" `Quick test_hier_respects_mii;
+        Alcotest.test_case "II-1 port bound" `Quick test_hier_port_bound;
+        Alcotest.test_case "golden mapfiles" `Quick test_hier_golden_mapfiles;
+        Alcotest.test_case "rejected II not annealed" `Quick test_hier_skips_rejected_ii;
       ] );
     ( "specialize",
       [

@@ -394,7 +394,32 @@ let () =
     List.iter
       (fun key ->
         if Plaid_obs.Json.member key doc = None then fail "JSON report is missing %S" key)
-      [ "kernel"; "seed"; "fabric"; "mapped"; "attempts"; "phase_totals_ms" ])
+      [ "kernel"; "seed"; "fabric"; "mapped"; "attempts"; "phase_totals_ms" ]);
+  (* an II the PCU port bound rules out is reported but not annealed:
+     jacobi's unicast motif reads three outside values through two legs *)
+  let rc = sh "%s map -k jacobi -a plaid --report jrep.json > /dev/null 2> /dev/null" plaidc in
+  if rc <> 0 then fail "map -k jacobi -a plaid --report exited %d" rc;
+  (let open Plaid_obs.Json in
+   match of_string (String.trim (read_file "jrep.json")) with
+   | Error e -> fail "jacobi JSON report does not parse: %s" e
+   | Ok doc -> (
+     let list_of k v = Option.fold ~none:[] ~some:to_list (member k v) in
+     match List.find_opt (fun at -> member "ii" at = Some (Num 1.0)) (list_of "attempts" doc) with
+     | None -> fail "jacobi report has no II 1 attempt"
+     | Some at ->
+       if member "algo" at <> Some (Str "hier") then fail "jacobi II 1 is not a hier attempt";
+       if member "mapped" at <> Some (Bool false) then fail "jacobi mapped at II 1";
+       if member "iterations" at <> Some (Num 0.0) then fail "jacobi annealed at II 1";
+       if
+         not
+           (List.exists
+              (fun ph -> member "name" ph = Some (Str "port-bound"))
+              (list_of "phases" at))
+       then fail "jacobi II 1 attempt has no port-bound phase"));
+  let rc = sh "%s map -k jacobi -a plaid --report jrep.txt > /dev/null 2> /dev/null" plaidc in
+  if rc <> 0 then fail "map -k jacobi -a plaid --report jrep.txt exited %d" rc;
+  if not (contains ~needle:"port-bound=" (read_file "jrep.txt")) then
+    fail "ASCII report does not show the port-bound skip"
 
 (* --- design-space exploration ------------------------------------------ *)
 
