@@ -27,8 +27,6 @@ type state = {
   table : Route_table.t;
 }
 
-let slot_of st t = ((t mod st.ii) + st.ii) mod st.ii
-
 let init_state arch g ~ii ~times ~rng =
   let mrrg = Mrrg.create arch ~ii in
   let times = Array.copy times in
@@ -49,64 +47,49 @@ let to_mapping st =
 let attempt_swap st ~rng ~temp =
   let n = Dfg.n_nodes st.g in
   let v = Plaid_util.Rng.int rng n and w = Plaid_util.Rng.int rng n in
-  if v <> w && st.place.(v) <> st.place.(w) then begin
-    let fu_v = st.place.(v) and fu_w = st.place.(w) in
-    let sl_v = slot_of st st.times.(v) and sl_w = slot_of st st.times.(w) in
-    let ok_ops =
-      Plaid_arch.Arch.fu_supports st.arch fu_w (Dfg.node st.g v).op
-      && Plaid_arch.Arch.fu_supports st.arch fu_v (Dfg.node st.g w).op
+  let fu_v = st.place.(v) and fu_w = st.place.(w) in
+  if
+    v <> w && fu_v <> fu_w
+    && Plaid_arch.Arch.fu_supports st.arch fu_w (Dfg.node st.g v).op
+    && Plaid_arch.Arch.fu_supports st.arch fu_v (Dfg.node st.g w).op
+  then begin
+    let sl_v = Schedule.slot ~ii:st.ii st.times.(v) in
+    let sl_w = Schedule.slot ~ii:st.ii st.times.(w) in
+    let put ~fv ~fw =
+      Mrrg.place_node st.mrrg ~node:v ~fu:fv ~slot:sl_v;
+      Mrrg.place_node st.mrrg ~node:w ~fu:fw ~slot:sl_w;
+      st.place.(v) <- fv;
+      st.place.(w) <- fw
     in
-    if ok_ops then begin
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-      Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
-      if Mrrg.fu_free st.mrrg ~fu:fu_w ~slot:sl_v && Mrrg.fu_free st.mrrg ~fu:fu_v ~slot:sl_w
-      then begin
-        let old_cost = Route_table.total_cost st.table in
-        let incident =
-          List.sort_uniq compare
-            (Route_table.incident st.table v @ Route_table.incident st.table w)
-        in
-        let saved = Route_table.snapshot_edges st.table incident in
-        List.iter (Route_table.release_edge st.table) incident;
-        Mrrg.place_node st.mrrg ~node:v ~fu:fu_w ~slot:sl_v;
-        Mrrg.place_node st.mrrg ~node:w ~fu:fu_v ~slot:sl_w;
-        st.place.(v) <- fu_w;
-        st.place.(w) <- fu_v;
-        List.iter (fun i -> ignore (Route_table.route_edge st.table i)) incident;
-        let new_cost = Route_table.total_cost st.table in
-        let accept =
-          new_cost <= old_cost
-          || Plaid_util.Rng.float rng 1.0 < exp ((old_cost -. new_cost) /. max 1e-6 temp)
-        in
-        if accept then Obs.Metrics.incr m_accepts;
-        if not accept then begin
-          List.iter (Route_table.release_edge st.table) incident;
+    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
+    Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
+    if Mrrg.fu_free st.mrrg ~fu:fu_w ~slot:sl_v && Mrrg.fu_free st.mrrg ~fu:fu_v ~slot:sl_w
+    then
+      Anneal_core.try_move st.table
+        ~edges:
+          (List.sort_uniq compare
+             (Route_table.incident st.table v @ Route_table.incident st.table w))
+        ~apply:(fun () ->
+          put ~fv:fu_w ~fw:fu_v;
+          true)
+        ~undo:(fun () ->
           Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_w ~slot:sl_v;
           Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_v ~slot:sl_w;
-          Mrrg.place_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-          Mrrg.place_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
-          st.place.(v) <- fu_v;
-          st.place.(w) <- fu_w;
-          List.iter
-            (fun (i, p, c) ->
-              match p with Some path -> Route_table.restore_edge st.table i path c | None -> ())
-            saved
-        end
-      end
-      else begin
-        Mrrg.place_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-        Mrrg.place_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w
-      end
+          put ~fv:fu_v ~fw:fu_w)
+        ~rng ~temp
+    else begin
+      put ~fv:fu_v ~fw:fu_w;
+      false
     end
   end
+  else false
 
-(* One annealing move: re-place or retime a random node, re-route its
-   incident edges, keep or undo per the Metropolis criterion. *)
+(* Re-place or retime one random node. *)
 let attempt_move st ~rng ~temp =
   let n = Dfg.n_nodes st.g in
   let v = Plaid_util.Rng.int rng n in
   let old_fu = st.place.(v) and old_t = st.times.(v) in
-  let old_slot = slot_of st old_t in
+  let old_slot = Schedule.slot ~ii:st.ii old_t in
   let retime = Plaid_util.Rng.int rng 2 = 0 in
   let new_fu, new_t =
     if retime then begin
@@ -125,45 +108,23 @@ let attempt_move st ~rng ~temp =
       | l -> (List.nth l (Plaid_util.Rng.int rng (List.length l)), old_t)
     end
   in
-  let new_slot = slot_of st new_t in
-  let feasible =
-    (new_fu <> old_fu || new_t <> old_t)
-    && (new_fu = old_fu || Plaid_arch.Arch.fu_supports st.arch new_fu (Dfg.node st.g v).op)
-    && ((new_fu = old_fu && new_slot = old_slot) || Mrrg.fu_free st.mrrg ~fu:new_fu ~slot:new_slot)
+  let new_slot = Schedule.slot ~ii:st.ii new_t in
+  let put ~fu_from ~slot_from ~fu ~slot ~t =
+    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_from ~slot:slot_from;
+    Mrrg.place_node st.mrrg ~node:v ~fu ~slot;
+    st.place.(v) <- fu;
+    st.times.(v) <- t
   in
-  if feasible then begin
-    let old_cost = Route_table.total_cost st.table in
-    let incident = Route_table.incident st.table v in
-    let saved = Route_table.snapshot_edges st.table incident in
-    List.iter (fun i -> Route_table.release_edge st.table i) incident;
-    Mrrg.unplace_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-    Mrrg.place_node st.mrrg ~node:v ~fu:new_fu ~slot:new_slot;
-    st.place.(v) <- new_fu;
-    st.times.(v) <- new_t;
-    List.iter (fun i -> ignore (Route_table.route_edge st.table i)) incident;
-    let new_cost = Route_table.total_cost st.table in
-    let accept =
-      new_cost <= old_cost
-      || Plaid_util.Rng.float rng 1.0 < exp ((old_cost -. new_cost) /. max 1e-6 temp)
-    in
-    if accept then Obs.Metrics.incr m_accepts;
-    if not accept then begin
-      List.iter (fun i -> Route_table.release_edge st.table i) incident;
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:new_fu ~slot:new_slot;
-      Mrrg.place_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-      st.place.(v) <- old_fu;
-      st.times.(v) <- old_t;
-      List.iter
-        (fun (i, p, c) ->
-          match p with Some path -> Route_table.restore_edge st.table i path c | None -> ())
-        saved
-    end
-  end
-
-let debug_enabled = lazy (Sys.getenv_opt "PLAID_DEBUG" <> None)
-
-let dbg fmt =
-  if Lazy.force debug_enabled then Printf.eprintf fmt else Printf.ifprintf stderr fmt
+  (new_fu <> old_fu || new_t <> old_t)
+  && (new_fu = old_fu || Plaid_arch.Arch.fu_supports st.arch new_fu (Dfg.node st.g v).op)
+  && ((new_fu = old_fu && new_slot = old_slot) || Mrrg.fu_free st.mrrg ~fu:new_fu ~slot:new_slot)
+  && Anneal_core.try_move st.table ~edges:(Route_table.incident st.table v)
+       ~apply:(fun () ->
+         put ~fu_from:old_fu ~slot_from:old_slot ~fu:new_fu ~slot:new_slot ~t:new_t;
+         true)
+       ~undo:(fun () ->
+         put ~fu_from:new_fu ~slot_from:new_slot ~fu:old_fu ~slot:old_slot ~t:old_t)
+       ~rng ~temp
 
 let run_once arch g ~ii ~times ~params ~rng =
   Obs.Trace.with_span ~cat:"sa" "sa.run_once"
@@ -174,64 +135,23 @@ let run_once arch g ~ii ~times ~params ~rng =
   | None -> None
   | Some st ->
     Explain.phase "route" @@ fun () ->
-    let temp = ref params.t_start in
-    let iter = ref 0 in
-    (* plateau abort: a hopeless II should fail fast so the driver can move
-       to the next one *)
-    let plateau = max 300 (params.iterations / 3) in
-    let best = ref infinity and since_best = ref 0 in
-    while
-      Route_table.unrouted st.table > 0
-      && !iter < params.iterations
-      && !since_best < plateau
-    do
-      incr iter;
+    let step ~temp =
       Obs.Metrics.incr m_moves;
-      if Plaid_util.Rng.int rng 4 = 0 then attempt_swap st ~rng ~temp:!temp
-      else attempt_move st ~rng ~temp:!temp;
-      temp := !temp *. params.t_decay;
-      let c = Route_table.total_cost st.table in
-      if c < !best then begin
-        best := c;
-        since_best := 0
-      end
-      else incr since_best
-    done;
-    Explain.add_iterations !iter;
-    Obs.Metrics.set g_final_temp !temp;
-    if Route_table.unrouted st.table = 0 then Some (to_mapping st)
-    else begin
-      dbg "[sa] %s ii=%d: %d unrouted after %d moves\n%!" g.Dfg.name ii
-        (Route_table.unrouted st.table) !iter;
-      if Lazy.force debug_enabled then begin
-        Array.iteri
-          (fun i (e : Dfg.edge) ->
-            if Route_table.path st.table i = None then
-              dbg "    edge %d->%d op%d d%d len=%d %s->%s\n" e.src e.dst e.operand e.dist
-                (st.times.(e.dst) - st.times.(e.src) + (e.dist * ii))
-                (Plaid_arch.Arch.resource arch st.place.(e.src)).rname
-                (Plaid_arch.Arch.resource arch st.place.(e.dst)).rname)
-          g.Dfg.edges;
-        Array.iteri
-          (fun v fu ->
-            dbg "    node %d (%s) @ %s t=%d\n" v (Dfg.node g v).label
-              (Plaid_arch.Arch.resource arch fu).rname st.times.(v))
-          st.place
-      end;
-      None
-    end
+      let accepted =
+        if Plaid_util.Rng.int rng 4 = 0 then attempt_swap st ~rng ~temp
+        else attempt_move st ~rng ~temp
+      in
+      if accepted then Obs.Metrics.incr m_accepts
+    in
+    let temp =
+      Anneal_core.run st.table ~iterations:params.iterations ~t_start:params.t_start
+        ~t_decay:params.t_decay ~step
+    in
+    Obs.Metrics.set g_final_temp temp;
+    if Route_table.unrouted st.table = 0 then Some (to_mapping st) else None
 
 let map_at_ii arch g ~ii ~times ~params ~rng =
-  let rec try_restart r =
-    if r >= params.restarts then None
-    else
-      match run_once arch g ~ii ~times ~params ~rng:(Plaid_util.Rng.split rng) with
-      | Some m -> (
-        match Mapping.validate m with
-        | Ok () -> Some m
-        | Error msg -> invalid_arg ("Anneal: produced invalid mapping: " ^ msg))
-      | None ->
-        Obs.Metrics.incr m_restarts;
-        try_restart (r + 1)
-  in
-  try_restart 0
+  Anneal_core.first_success ~restarts:params.restarts ~rng (fun rng ->
+      let m = run_once arch g ~ii ~times ~params ~rng in
+      if Option.is_none m then Obs.Metrics.incr m_restarts;
+      m)

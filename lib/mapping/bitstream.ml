@@ -22,7 +22,6 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-let slot_mod ii t = ((t mod ii) + ii) mod ii
 
 (* opcode encoding is per functional unit: the index into its own operation
    list (0 = nop), so a lean FU gets a lean opcode field *)
@@ -88,10 +87,10 @@ let generate (m : Mapping.t) =
     | [] ->
       let length = m.times.(e.dst) - m.times.(e.src) + (e.dist * ii) in
       select ~res:m.place.(e.dst)
-        ~slot:(slot_mod ii m.times.(e.dst))
+        ~slot:(Schedule.slot ~ii m.times.(e.dst))
         ~mux:e.operand ~src:prev ~signal:(e.src, length)
     | (res, elapsed) :: rest ->
-      let slot = slot_mod ii (m.times.(e.src) + elapsed) in
+      let slot = Schedule.slot ~ii (m.times.(e.src) + elapsed) in
       let* () = select ~res ~slot ~mux:0 ~src:prev ~signal:(e.src, elapsed) in
       walk_route e res rest
   in
@@ -111,7 +110,7 @@ let generate (m : Mapping.t) =
          (fun acc (v, fu) ->
            let* acc = acc in
            let nd = Dfg.node m.dfg v in
-           let slot = slot_mod ii m.times.(v) in
+           let slot = Schedule.slot ~ii m.times.(v) in
            let* op = op_field arch ~fu ~slot nd.op in
            let* imms =
              List.fold_left

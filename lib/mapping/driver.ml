@@ -147,7 +147,6 @@ let m_repairs = Obs.Metrics.counter "driver/repairs"
 let m_repair_incremental = Obs.Metrics.counter "driver/repair_incremental"
 let m_repair_full = Obs.Metrics.counter "driver/repair_full_remap"
 
-let slot_of ~ii t = ((t mod ii) + ii) mod ii
 
 let edge_key (e : Dfg.edge) = (e.src, e.dst, e.operand, e.dist)
 
@@ -168,7 +167,7 @@ let route_survives arch (m : Mapping.t) (r : Mapping.route_entry) =
   in
   List.for_all
     (fun (res, elapsed) ->
-      not (Plaid_arch.Arch.cell_faulty arch ~res ~slot:(slot_of ~ii (t_src + elapsed))))
+      not (Plaid_arch.Arch.cell_faulty arch ~res ~slot:(Schedule.slot ~ii (t_src + elapsed))))
     r.re_path
   && links m.place.(e.src) 0 r.re_path
 
@@ -189,7 +188,7 @@ let repair ?pool ~algo ~arch ~mapping:(m : Mapping.t) ~seed () =
   let n = Dfg.n_nodes g in
   let displaced =
     Array.init n (fun v ->
-        Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v) ~slot:(slot_of ~ii m.times.(v)))
+        Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v) ~slot:(Schedule.slot ~ii m.times.(v)))
   in
   let n_displaced = Array.fold_left (fun a b -> if b then a + 1 else a) 0 displaced in
   let full_remap () =
@@ -215,7 +214,7 @@ let repair ?pool ~algo ~arch ~mapping:(m : Mapping.t) ~seed () =
     (try
        for v = 0 to n - 1 do
          if not displaced.(v) then begin
-           Mrrg.place_node mrrg ~node:v ~fu:place.(v) ~slot:(slot_of ~ii m.times.(v));
+           Mrrg.place_node mrrg ~node:v ~fu:place.(v) ~slot:(Schedule.slot ~ii m.times.(v));
            placed.(v) <- true
          end
        done
@@ -248,7 +247,7 @@ let repair ?pool ~algo ~arch ~mapping:(m : Mapping.t) ~seed () =
     let rerouted = ref 0 in
     for v = 0 to n - 1 do
       if displaced.(v) then begin
-        let slot = slot_of ~ii m.times.(v) in
+        let slot = Schedule.slot ~ii m.times.(v) in
         let incident =
           List.filter (fun (e : Dfg.edge) -> not (Dfg.is_ordering e)) (Dfg.preds g v)
           @ List.filter (fun (e : Dfg.edge) -> not (Dfg.is_ordering e)) (Dfg.succs g v)

@@ -6,7 +6,6 @@ type outcome = {
   exhausted : bool;
 }
 
-let slot_mod ii t = ((t mod ii) + ii) mod ii
 
 (* Completeness requires backtracking over *routing* choices, not just
    placements: committing each edge to the router's single cheapest path
@@ -61,7 +60,7 @@ let enum_paths mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~min_lat ~tick :
                  in
                  if intermediate_fu && not fu_ok then Seq.empty
                  else begin
-                   let slot = slot_mod ii (t_src + e') in
+                   let slot = Schedule.slot ~ii (t_src + e') in
                    let signal = { Mrrg.s_node = src_node; s_elapsed = e' } in
                    if
                      Mrrg.can_use mrrg ~res:dst ~slot signal
@@ -156,7 +155,7 @@ let find arch g ~ii ~times ~budget =
     else if k = Array.length order then true
     else begin
       let v = order.(k) in
-      let slot = slot_mod ii times.(v) in
+      let slot = Schedule.slot ~ii times.(v) in
       let op = (Dfg.node g v).op in
       let candidates =
         Array.to_list arch.Plaid_arch.Arch.fus

@@ -17,7 +17,7 @@ let initial_place mrrg g ~times ~rng =
   List.iter
     (fun v ->
       if !ok then begin
-        let slot = ((times.(v) mod ii) + ii) mod ii in
+        let slot = Schedule.slot ~ii times.(v) in
         match compatible_fus mrrg g ~node:v ~slot with
         | [] -> ok := false
         | fus ->

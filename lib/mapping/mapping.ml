@@ -99,7 +99,7 @@ let rebuild m =
   let rec place i =
     if i = n then Ok ()
     else begin
-      let fu = m.place.(i) and slot = ((m.times.(i) mod m.ii) + m.ii) mod m.ii in
+      let fu = m.place.(i) and slot = Schedule.slot ~ii:m.ii m.times.(i) in
       if not (Mrrg.fu_free mrrg ~fu ~slot) then
         err "fu %s slot %d double-booked" (Plaid_arch.Arch.resource m.arch fu).rname slot
       else begin
@@ -139,10 +139,9 @@ let check_faults m =
   if Plaid_arch.Arch.faults m.arch = [] then Ok ()
   else begin
     let n = Dfg.n_nodes m.dfg in
-    let slot_of t = ((t mod m.ii) + m.ii) mod m.ii in
     let rec nodes i =
       if i = n then Ok ()
-      else if Plaid_arch.Arch.cell_faulty m.arch ~res:m.place.(i) ~slot:(slot_of m.times.(i))
+      else if Plaid_arch.Arch.cell_faulty m.arch ~res:m.place.(i) ~slot:(Schedule.slot ~ii:m.ii m.times.(i))
       then
         err "node %s: placed on faulted resource %s" (Dfg.node m.dfg i).label
           (Plaid_arch.Arch.resource m.arch m.place.(i)).rname
@@ -156,7 +155,7 @@ let check_faults m =
         let bad =
           List.find_opt
             (fun (res, elapsed) ->
-              Plaid_arch.Arch.cell_faulty m.arch ~res ~slot:(slot_of (t_src + elapsed)))
+              Plaid_arch.Arch.cell_faulty m.arch ~res ~slot:(Schedule.slot ~ii:m.ii (t_src + elapsed)))
             r.re_path
         in
         (match bad with

@@ -53,9 +53,7 @@ let exclusive t = t.exclusive
 
 let slots t = if t.exclusive then 1 else t.m_ii
 
-let slot_mod t slot = ((slot mod t.m_ii) + t.m_ii) mod t.m_ii
-
-let eff_slot t slot = if t.exclusive then 0 else slot_mod t slot
+let eff_slot t slot = if t.exclusive then 0 else Schedule.slot ~ii:t.m_ii slot
 
 let cell t res slot = t.cells.(res).(eff_slot t slot)
 
@@ -89,12 +87,12 @@ let place_node t ~node ~fu ~slot =
   if blocked t ~res:fu ~slot then
     invalid_arg
       (Printf.sprintf "Mrrg.place_node: %s slot %d is faulted"
-         (Plaid_arch.Arch.resource t.m_arch fu).rname (slot_mod t slot));
+         (Plaid_arch.Arch.resource t.m_arch fu).rname (Schedule.slot ~ii:t.m_ii slot));
   mutating t ~res:fu ~slot (fun c ->
       if c.exec <> None || c.signals <> [] then
         invalid_arg
           (Printf.sprintf "Mrrg.place_node: %s slot %d busy"
-             (Plaid_arch.Arch.resource t.m_arch fu).rname (slot_mod t slot));
+             (Plaid_arch.Arch.resource t.m_arch fu).rname (Schedule.slot ~ii:t.m_ii slot));
       c.exec <- Some node)
 
 let unplace_node t ~node ~fu ~slot =

@@ -19,7 +19,6 @@ let default =
 
 let quick = { max_iters = 30; history_increment = 0.8; present_factor_step = 0.6; replace_after = 5 }
 
-let slot_mod ii t = ((t mod ii) + ii) mod ii
 
 let manhattan (r1, c1) (r2, c2) = abs (r1 - r2) + abs (c1 - c2)
 
@@ -80,7 +79,7 @@ let replace_towards mrrg g ~place ~node ~slot ~other_tile ~budget ~touch ~rng =
 let shift_node mrrg ~times ~place ~node ~ii ~touch =
   let t = times.(node) in
   let fu = place.(node) in
-  let old_slot = slot_mod ii t and new_slot = slot_mod ii (t + 1) in
+  let old_slot = Schedule.slot ~ii t and new_slot = Schedule.slot ~ii (t + 1) in
   if new_slot = old_slot then begin
     touch node;
     times.(node) <- t + 1;
@@ -142,10 +141,10 @@ let repair_unrouted mrrg g ~times ~place ~paths ~touch ~rng =
         let dst_tile = (Plaid_arch.Arch.resource arch place.(e.dst)).tile in
         match Plaid_util.Rng.int rng 3 with
         | 0 ->
-          replace_towards mrrg g ~place ~node:e.dst ~slot:(slot_mod ii times.(e.dst))
+          replace_towards mrrg g ~place ~node:e.dst ~slot:(Schedule.slot ~ii times.(e.dst))
             ~other_tile:src_tile ~budget ~touch ~rng
         | 1 when e.src <> e.dst ->
-          replace_towards mrrg g ~place ~node:e.src ~slot:(slot_mod ii times.(e.src))
+          replace_towards mrrg g ~place ~node:e.src ~slot:(Schedule.slot ~ii times.(e.src))
             ~other_tile:dst_tile ~budget ~touch ~rng
         | _ -> ignore (retime_later mrrg g ~times ~place ~node:e.dst ~ii ~depth:8 ~touch)
       end)
@@ -230,7 +229,7 @@ let map_at_ii arch g ~ii ~times ~params ~rng =
               let crosses =
                 List.exists
                   (fun (res, elapsed) ->
-                    let slot = if exclusive then 0 else slot_mod ii (t_src + elapsed) in
+                    let slot = if exclusive then 0 else Schedule.slot ~ii (t_src + elapsed) in
                     Hashtbl.mem hot (res, slot))
                   path
               in
@@ -315,7 +314,7 @@ let map_at_ii arch g ~ii ~times ~params ~rng =
             | _ ->
               Obs.Metrics.incr m_ripups;
               let v, old_fu = List.nth victims (Plaid_util.Rng.int rng (List.length victims)) in
-              let slot = slot_mod ii times.(v) in
+              let slot = Schedule.slot ~ii times.(v) in
               Mrrg.unplace_node mrrg ~node:v ~fu:old_fu ~slot;
               (match Greedy.compatible_fus mrrg g ~node:v ~slot with
               | [] -> Mrrg.place_node mrrg ~node:v ~fu:old_fu ~slot

@@ -14,13 +14,6 @@ let m_memo_misses = Obs.Metrics.counter "route/memo_misses"
 
 (* ------------------------------------------------------------ cost model *)
 
-(* Annealing retimes nodes within their slack, which may place a node at a
-   negative absolute time; normalize like every other slot computation so
-   the modulo slot stays in [0, ii). *)
-let slot_of mrrg t_src elapsed =
-  let ii = Mrrg.ii mrrg in
-  (((t_src + elapsed) mod ii) + ii) mod ii
-
 let usable mrrg ~mode ~res ~slot signal =
   match mode with
   | Hard -> Mrrg.can_use mrrg ~res ~slot signal
@@ -261,7 +254,7 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                   | _ -> false
                 in
                 if (not intermediate_fu) || fu_ok then begin
-                  let slot = slot_of mrrg t_src e' in
+                  let slot = Schedule.slot ~ii (t_src + e') in
                   let cell_hist =
                     match hist with None -> 0.0 | Some hh -> hh.(dst).(slot)
                   in
@@ -334,7 +327,7 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
       let soft, pf =
         match mode with Hard -> (false, 0.0) | Soft s -> (true, s.present_factor)
       in
-      let slot0 = slot_of mrrg t_src 0 in
+      let slot0 = Schedule.slot ~ii t_src in
       let key = memo_key ~soft ~src_fu ~dst_fu ~length ~slot0 ~src_node in
       let memo = memo_of mrrg in
       match Hashtbl.find_opt memo.memo_tbl key with
@@ -355,15 +348,17 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
   end
 
 let occupy_path mrrg ~src_node ~t_src path =
+  let ii = Mrrg.ii mrrg in
   List.iter
     (fun (res, elapsed) ->
-      let slot = slot_of mrrg t_src elapsed in
+      let slot = Schedule.slot ~ii (t_src + elapsed) in
       Mrrg.occupy mrrg ~res ~slot { Mrrg.s_node = src_node; s_elapsed = elapsed })
     path
 
 let release_path mrrg ~src_node ~t_src path =
+  let ii = Mrrg.ii mrrg in
   List.iter
     (fun (res, elapsed) ->
-      let slot = slot_of mrrg t_src elapsed in
+      let slot = Schedule.slot ~ii (t_src + elapsed) in
       Mrrg.release mrrg ~res ~slot { Mrrg.s_node = src_node; s_elapsed = elapsed })
     path

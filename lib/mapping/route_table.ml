@@ -120,6 +120,10 @@ let total_cost t =
 
 let path t i = t.paths.(i)
 
+let dfg t = t.g
+
+let ii t = Mrrg.ii t.mrrg
+
 let routes t =
   Array.to_list (Array.mapi (fun i p -> (i, p)) t.paths)
   |> List.filter_map (fun (i, p) ->

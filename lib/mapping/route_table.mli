@@ -29,6 +29,7 @@ val restore_edge : t -> int -> Route.path -> float -> unit
 (** Re-occupy a previously-valid path without searching (undo support). *)
 
 val snapshot_edges : t -> int list -> (int * Route.path option * float) list
+(** [(edge, path, cost)] for each listed edge, for {!restore_edge}. *)
 
 val incident : t -> int -> int list
 (** Edge indices touching a node (self-loops listed once). *)
@@ -38,7 +39,19 @@ val unrouted : t -> int
 val total_cost : t -> float
 (** [1000 * unrouted + length shaping of each unrouted edge + total wire
     cost] — the annealing objective.  Costs time proportional to the
-    unrouted edges, not to all edges. *)
+    unrouted edges, not to all edges.
+
+    The unrouted terms are integers, but the wire term is a running float
+    sum: {!route_edge} and {!restore_edge} add an edge's cost and
+    {!release_edge} subtracts it.  Path costs are not all integers (a
+    register hop costs 1.2), so a route-then-release round trip need not
+    return the sum to the same bits, and its last bits depend on the
+    table's route/release history.  Annealers compare costs with [<=], so
+    that history is part of the mapping they produce. *)
+
+val dfg : t -> Plaid_ir.Dfg.t
+
+val ii : t -> int
 
 val path : t -> int -> Route.path option
 

@@ -1,5 +1,7 @@
 open Plaid_ir
 
+let slot ~ii t = ((t mod ii) + ii) mod ii
+
 let memory_class op = Op.is_memory op || op = Op.Input
 
 (* Lower bound for t(dst) given t(src).  [lat] spaces same-iteration edges
@@ -50,7 +52,7 @@ let compute ?(lat = 1) ?lat_for g ~ii ~cap =
       Array.fill mem 0 ii 0;
       Array.iteri
         (fun i t ->
-          let s = ((t mod ii) + ii) mod ii in
+          let s = slot ~ii t in
           total.(s) <- total.(s) + 1;
           if memory_class (Dfg.node g i).op then mem.(s) <- mem.(s) + 1)
         times
@@ -75,7 +77,7 @@ let compute ?(lat = 1) ?lat_for g ~ii ~cap =
       Array.iteri
         (fun i t ->
           if !candidate = None then begin
-            let s = ((t mod ii) + ii) mod ii in
+            let s = slot ~ii t in
             let memo = memory_class (Dfg.node g i).op in
             let pressured =
               total.(s) > cap.Analysis.total_slots

@@ -6,6 +6,11 @@
     (total and memory-class counted separately).  Placement then only has to
     pick *which* FU, not *when*. *)
 
+val slot : ii:int -> int -> int
+(** [slot ~ii t] is the modulo slot of absolute cycle [t], in [\[0, ii)]
+    even for a negative [t] (the annealers may retime a node before cycle
+    0).  The one slot computation every mapper, model and simulator uses. *)
+
 val compute :
   ?lat:int ->
   ?lat_for:(Plaid_ir.Dfg.edge -> int) ->

@@ -1,6 +1,5 @@
 open Plaid_ir
 
-let slot_mod ii t = ((t mod ii) + ii) mod ii
 
 (* short, unique-enough cell text for a node *)
 let cell_label (g : Dfg.t) v =
@@ -24,7 +23,7 @@ let fabric_view (m : Mapping.t) =
     let cells = Array.make_matrix rows cols [] in
     Array.iteri
       (fun v fu ->
-        if slot_mod m.ii m.times.(v) = slot then begin
+        if Schedule.slot ~ii:m.ii m.times.(v) = slot then begin
           let row, col = (Plaid_arch.Arch.resource arch fu).tile in
           cells.(row).(col) <- cell_label m.dfg v :: cells.(row).(col)
         end)

@@ -21,7 +21,7 @@ let wire_events (m : Mapping.t) =
       let t_src = m.times.(r.re_edge.src) in
       List.iter
         (fun (rid, elapsed) ->
-          let slot = (((t_src + elapsed) mod ii) + ii) mod ii in
+          let slot = Schedule.slot ~ii (t_src + elapsed) in
           let key = (rid * ii) + slot in
           if Bytes.get seen key = '\000' then begin
             Bytes.set seen key '\001';

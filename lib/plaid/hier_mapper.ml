@@ -34,8 +34,6 @@ type state = {
 
 let arch st = st.plaid.Pcu.arch
 
-let slot_mod ii t = ((t mod ii) + ii) mod ii
-
 (* --- motif placement ------------------------------------------------- *)
 
 let motif_slots st mi ~pcu ~tmpl ~anchor =
@@ -52,13 +50,13 @@ let motif_slots st mi ~pcu ~tmpl ~anchor =
 let can_place_motif st mi ~pcu ~tmpl ~anchor =
   anchor >= 0
   && List.for_all
-       (fun (_, alu, t) -> Mrrg.fu_free st.mrrg ~fu:alu ~slot:(slot_mod st.ii t))
+       (fun (_, alu, t) -> Mrrg.fu_free st.mrrg ~fu:alu ~slot:(Schedule.slot ~ii:st.ii t))
        (motif_slots st mi ~pcu ~tmpl ~anchor)
 
 let place_motif st mi ~pcu ~tmpl ~anchor =
   List.iter
     (fun (v, alu, t) ->
-      Mrrg.place_node st.mrrg ~node:v ~fu:alu ~slot:(slot_mod st.ii t);
+      Mrrg.place_node st.mrrg ~node:v ~fu:alu ~slot:(Schedule.slot ~ii:st.ii t);
       st.place.(v) <- alu;
       st.times.(v) <- t)
     (motif_slots st mi ~pcu ~tmpl ~anchor);
@@ -71,7 +69,7 @@ let unplace_motif st mi =
   let m = st.hier.Motif_gen.motifs.(mi) in
   List.iter
     (fun v ->
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:st.place.(v) ~slot:(slot_mod st.ii st.times.(v)))
+      Mrrg.unplace_node st.mrrg ~node:v ~fu:st.place.(v) ~slot:(Schedule.slot ~ii:st.ii st.times.(v)))
     (Motif.nodes m)
 
 let motif_edges st mi =
@@ -135,7 +133,7 @@ let try_place_standalone st v ~base ~rng =
     if d >= st.ii then false
     else begin
       let t = base.(v) + d in
-      let slot = slot_mod st.ii t in
+      let slot = Schedule.slot ~ii:st.ii t in
       let all =
         Array.to_list a.Plaid_arch.Arch.fus
         |> List.filter (fun fu ->
@@ -209,14 +207,10 @@ let init_state ?(params = default) plaid g hier ~ii ~base ~rng =
 
 (* --- annealing moves --------------------------------------------------- *)
 
-let metropolis ~rng ~temp ~old_cost ~new_cost =
-  new_cost <= old_cost
-  || Plaid_util.Rng.float rng 1.0 < exp ((old_cost -. new_cost) /. max 1e-6 temp)
-
 let standalone_move st v ~rng ~temp =
   let a = arch st in
   let old_fu = st.place.(v) and old_t = st.times.(v) in
-  let old_slot = slot_mod st.ii old_t in
+  let old_slot = Schedule.slot ~ii:st.ii old_t in
   let retime = Plaid_util.Rng.int rng 2 = 0 in
   let new_fu, new_t =
     if retime then begin
@@ -239,201 +233,125 @@ let standalone_move st v ~rng ~temp =
       | l -> (List.nth l (Plaid_util.Rng.int rng (List.length l)), old_t)
     end
   in
-  let new_slot = slot_mod st.ii new_t in
-  let feasible =
-    (new_fu <> old_fu || new_t <> old_t)
-    && ((new_fu = old_fu && new_slot = old_slot) || Mrrg.fu_free st.mrrg ~fu:new_fu ~slot:new_slot)
+  let new_slot = Schedule.slot ~ii:st.ii new_t in
+  let put ~fu_from ~slot_from ~fu ~slot ~t =
+    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_from ~slot:slot_from;
+    Mrrg.place_node st.mrrg ~node:v ~fu ~slot;
+    st.place.(v) <- fu;
+    st.times.(v) <- t
   in
-  if feasible then begin
-    let old_cost = Route_table.total_cost st.table in
-    let incident = Route_table.incident st.table v in
-    let saved = Route_table.snapshot_edges st.table incident in
-    List.iter (Route_table.release_edge st.table) incident;
-    Mrrg.unplace_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-    Mrrg.place_node st.mrrg ~node:v ~fu:new_fu ~slot:new_slot;
-    st.place.(v) <- new_fu;
-    st.times.(v) <- new_t;
-    List.iter (fun i -> ignore (Route_table.route_edge st.table i)) incident;
-    if
-      not
-        (metropolis ~rng ~temp ~old_cost ~new_cost:(Route_table.total_cost st.table))
-    then begin
-      List.iter (Route_table.release_edge st.table) incident;
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:new_fu ~slot:new_slot;
-      Mrrg.place_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-      st.place.(v) <- old_fu;
-      st.times.(v) <- old_t;
-      List.iter
-        (fun (i, p, c) ->
-          match p with Some path -> Route_table.restore_edge st.table i path c | None -> ())
-        saved
-    end
-  end
+  (new_fu <> old_fu || new_t <> old_t)
+  && ((new_fu = old_fu && new_slot = old_slot) || Mrrg.fu_free st.mrrg ~fu:new_fu ~slot:new_slot)
+  && Anneal_core.try_move st.table ~edges:(Route_table.incident st.table v)
+       ~apply:(fun () ->
+         put ~fu_from:old_fu ~slot_from:old_slot ~fu:new_fu ~slot:new_slot ~t:new_t;
+         true)
+       ~undo:(fun () ->
+         put ~fu_from:new_fu ~slot_from:new_slot ~fu:old_fu ~slot:old_slot ~t:old_t)
+       ~rng ~temp
 
 (* Swap the FUs of two standalone nodes — same escape hatch as the baseline
    annealer's swap move; motif members move via their motif instead. *)
 let standalone_swap st v w ~rng ~temp =
   let a = arch st in
+  let fu_v = st.place.(v) and fu_w = st.place.(w) in
   if
     v <> w
     && st.hier.Motif_gen.owner.(v) = -1
     && st.hier.Motif_gen.owner.(w) = -1
-    && st.place.(v) <> st.place.(w)
+    && fu_v <> fu_w
+    && Plaid_arch.Arch.fu_supports a fu_w (Dfg.node st.g v).op
+    && Plaid_arch.Arch.fu_supports a fu_v (Dfg.node st.g w).op
   then begin
-    let fu_v = st.place.(v) and fu_w = st.place.(w) in
-    let sl_v = slot_mod st.ii st.times.(v) and sl_w = slot_mod st.ii st.times.(w) in
-    let ok_ops =
-      Plaid_arch.Arch.fu_supports a fu_w (Dfg.node st.g v).op
-      && Plaid_arch.Arch.fu_supports a fu_v (Dfg.node st.g w).op
+    let sl_v = Schedule.slot ~ii:st.ii st.times.(v) in
+    let sl_w = Schedule.slot ~ii:st.ii st.times.(w) in
+    let put ~fv ~fw =
+      Mrrg.place_node st.mrrg ~node:v ~fu:fv ~slot:sl_v;
+      Mrrg.place_node st.mrrg ~node:w ~fu:fw ~slot:sl_w;
+      st.place.(v) <- fv;
+      st.place.(w) <- fw
     in
-    if ok_ops then begin
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-      Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
-      if Mrrg.fu_free st.mrrg ~fu:fu_w ~slot:sl_v && Mrrg.fu_free st.mrrg ~fu:fu_v ~slot:sl_w
-      then begin
-        let old_cost = Route_table.total_cost st.table in
-        let incident =
-          List.sort_uniq compare
-            (Route_table.incident st.table v @ Route_table.incident st.table w)
-        in
-        let saved = Route_table.snapshot_edges st.table incident in
-        List.iter (Route_table.release_edge st.table) incident;
-        Mrrg.place_node st.mrrg ~node:v ~fu:fu_w ~slot:sl_v;
-        Mrrg.place_node st.mrrg ~node:w ~fu:fu_v ~slot:sl_w;
-        st.place.(v) <- fu_w;
-        st.place.(w) <- fu_v;
-        List.iter (fun i -> ignore (Route_table.route_edge st.table i)) incident;
-        if
-          not
-            (metropolis ~rng ~temp ~old_cost
-               ~new_cost:(Route_table.total_cost st.table))
-        then begin
-          List.iter (Route_table.release_edge st.table) incident;
+    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
+    Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
+    if Mrrg.fu_free st.mrrg ~fu:fu_w ~slot:sl_v && Mrrg.fu_free st.mrrg ~fu:fu_v ~slot:sl_w
+    then
+      Anneal_core.try_move st.table
+        ~edges:
+          (List.sort_uniq compare
+             (Route_table.incident st.table v @ Route_table.incident st.table w))
+        ~apply:(fun () ->
+          put ~fv:fu_w ~fw:fu_v;
+          true)
+        ~undo:(fun () ->
           Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_w ~slot:sl_v;
           Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_v ~slot:sl_w;
-          Mrrg.place_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-          Mrrg.place_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
-          st.place.(v) <- fu_v;
-          st.place.(w) <- fu_w;
-          List.iter
-            (fun (i, p, c) ->
-              match p with
-              | Some path -> Route_table.restore_edge st.table i path c
-              | None -> ())
-            saved
-        end
-      end
-      else begin
-        Mrrg.place_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-        Mrrg.place_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w
-      end
+          put ~fv:fu_v ~fw:fu_w)
+        ~rng ~temp
+    else begin
+      put ~fv:fu_v ~fw:fu_w;
+      false
     end
   end
+  else false
 
+(* Re-place a motif at one of 8 drawn (PCU, template, anchor) candidates.
+   When none fits, the motif goes back to its old spot and the move is
+   declined: no Metropolis draw, but its edges still make the route and
+   release round trip. *)
 let motif_move st mi ~rng ~temp =
   let mp = st.mplaces.(mi) in
-  let old = (mp.m_pcu, mp.m_tmpl, mp.m_anchor) in
+  let opcu = mp.m_pcu and otmpl = mp.m_tmpl and oanchor = mp.m_anchor in
   let kind = st.hier.Motif_gen.motifs.(mi).Motif.kind in
   let templates = Array.of_list (st.prm.templates kind) in
-  let old_cost = Route_table.total_cost st.table in
-  let edges = motif_edges st mi in
-  let saved = Route_table.snapshot_edges st.table edges in
-  List.iter (Route_table.release_edge st.table) edges;
-  unplace_motif st mi;
-  (* draw placement candidates; fall back to the old spot if none fits *)
   let rec draw k =
     if k = 0 then None
     else begin
       let pcu = Plaid_util.Rng.int rng (Array.length st.plaid.Pcu.pcus) in
       let tmpl = templates.(Plaid_util.Rng.int rng (Array.length templates)) in
-      let anchor = max 0 (mp.m_anchor - 2 + Plaid_util.Rng.int rng 5) in
+      let anchor = max 0 (oanchor - 2 + Plaid_util.Rng.int rng 5) in
       if can_place_motif st mi ~pcu ~tmpl ~anchor then Some (pcu, tmpl, anchor) else draw (k - 1)
     end
   in
-  let choice = draw 8 in
-  let pcu, tmpl, anchor = match choice with Some c -> c | None -> old in
-  place_motif st mi ~pcu ~tmpl ~anchor;
-  List.iter (fun i -> ignore (Route_table.route_edge st.table i)) edges;
-  let accept =
-    choice <> None
-    && metropolis ~rng ~temp ~old_cost ~new_cost:(Route_table.total_cost st.table)
-  in
-  if not accept then begin
-    List.iter (Route_table.release_edge st.table) edges;
-    unplace_motif st mi;
-    let opcu, otmpl, oanchor = old in
-    place_motif st mi ~pcu:opcu ~tmpl:otmpl ~anchor:oanchor;
-    List.iter
-      (fun (i, p, c) ->
-        match p with Some path -> Route_table.restore_edge st.table i path c | None -> ())
-      saved
-  end
+  let restore () = place_motif st mi ~pcu:opcu ~tmpl:otmpl ~anchor:oanchor in
+  Anneal_core.try_move st.table ~edges:(motif_edges st mi)
+    ~apply:(fun () ->
+      unplace_motif st mi;
+      match draw 8 with
+      | Some (pcu, tmpl, anchor) ->
+        place_motif st mi ~pcu ~tmpl ~anchor;
+        true
+      | None ->
+        restore ();
+        false)
+    ~undo:(fun () ->
+      unplace_motif st mi;
+      restore ())
+    ~rng ~temp
 
 let to_mapping st =
   { Mapping.arch = arch st; dfg = st.g; ii = st.ii; times = Array.copy st.times;
     place = Array.copy st.place; routes = Route_table.routes st.table }
 
-let debug_enabled = lazy (Sys.getenv_opt "PLAID_DEBUG" <> None)
-
-let dbg fmt =
-  if Lazy.force debug_enabled then Printf.eprintf fmt
-  else Printf.ifprintf stderr fmt
-
 let run_once ?(params = default) plaid g hier ~ii ~base ~rng =
   match Explain.phase "place" (fun () -> init_state ~params plaid g hier ~ii ~base ~rng) with
-  | None ->
-    dbg "[hier] %s ii=%d: initial placement failed\n%!" g.Dfg.name ii;
-    None
+  | None -> None
   | Some st ->
     Explain.phase "route" @@ fun () ->
-    let temp = ref params.t_start in
-    let iter = ref 0 in
     let n = Dfg.n_nodes g in
-    (* plateau abort mirrors the baseline annealer: fail hopeless IIs fast *)
-    let plateau = max 300 (params.iterations / 3) in
-    let best = ref infinity and since_best = ref 0 in
-    while
-      Route_table.unrouted st.table > 0
-      && !iter < params.iterations
-      && !since_best < plateau
-    do
-      incr iter;
+    let step ~temp =
       let v = Plaid_util.Rng.int rng n in
-      (match st.hier.Motif_gen.owner.(v) with
-      | -1 ->
-        if Plaid_util.Rng.int rng 4 = 0 then
-          standalone_swap st v (Plaid_util.Rng.int rng n) ~rng ~temp:!temp
-        else standalone_move st v ~rng ~temp:!temp
-      | mi -> motif_move st mi ~rng ~temp:!temp);
-      temp := !temp *. params.t_decay;
-      let c = Route_table.total_cost st.table in
-      if c < !best then begin
-        best := c;
-        since_best := 0
-      end
-      else incr since_best
-    done;
-    Explain.add_iterations !iter;
-    if Route_table.unrouted st.table = 0 then Some (to_mapping st)
-    else begin
-      dbg "[hier] %s ii=%d: %d edges unrouted after %d moves\n%!" g.Dfg.name ii
-        (Route_table.unrouted st.table) !iter;
-      if Lazy.force debug_enabled then
-        Array.iteri
-          (fun i (e : Dfg.edge) ->
-            if Route_table.path st.table i = None then begin
-              let len = st.times.(e.dst) - st.times.(e.src) + (e.dist * ii) in
-              let a = arch st in
-              dbg "    edge %d->%d op%d d%d len=%d %s->%s t=%d->%d %s\n" e.src e.dst e.operand
-                e.dist len
-                (Plaid_arch.Arch.resource a st.place.(e.src)).rname
-                (Plaid_arch.Arch.resource a st.place.(e.dst)).rname st.times.(e.src)
-                st.times.(e.dst)
-                (if Dfg.is_ordering e then "(ordering)" else "")
-            end)
-          g.Dfg.edges;
-      None
-    end
+      ignore
+        (match st.hier.Motif_gen.owner.(v) with
+        | -1 ->
+          if Plaid_util.Rng.int rng 4 = 0 then
+            standalone_swap st v (Plaid_util.Rng.int rng n) ~rng ~temp
+          else standalone_move st v ~rng ~temp
+        | mi -> motif_move st mi ~rng ~temp)
+    in
+    ignore
+      (Anneal_core.run st.table ~iterations:params.iterations ~t_start:params.t_start
+         ~t_decay:params.t_decay ~step);
+    if Route_table.unrouted st.table = 0 then Some (to_mapping st) else None
 
 (* --- II-1 port bound ---------------------------------------------------- *)
 
@@ -474,19 +392,13 @@ let map_hier ?(params = default) ~plaid ~hier ~seed dfg =
             (fun lat -> Schedule.compute ~lat g ~ii ~cap)
             [ 2; 3; 1 ]
         in
-        let rec restart base r =
-          if r >= params.restarts then None
-          else
-            match run_once ~params plaid g hier ~ii ~base ~rng:(Plaid_util.Rng.split rng) with
-            | Some m -> (
-              match Mapping.validate m with
-              | Ok () -> Some m
-              | Error msg -> invalid_arg ("Hier_mapper: invalid mapping: " ^ msg))
-            | None -> restart base (r + 1)
+        let restarts base =
+          Anneal_core.first_success ~restarts:params.restarts ~rng (fun rng ->
+              run_once ~params plaid g hier ~ii ~base ~rng)
         in
         if port_bound_admits g hier ~ii then
           List.fold_left
-            (fun acc base -> match acc with Some _ -> acc | None -> restart base 0)
+            (fun acc base -> match acc with Some _ -> acc | None -> restarts base)
             None schedules
         else
           (* skip the hopeless anneal, but draw the restart streams its

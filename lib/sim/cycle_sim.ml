@@ -20,7 +20,6 @@ let address (a : Dfg.access) iter = a.offset + (a.stride * iter)
    0 mod 2^16 for any 0 < k < 2^16. *)
 let corrupt v = Op.wrap16 (v + 0x2b5d)
 
-let slot_norm ~ii t = ((t mod ii) + ii) mod ii
 
 (* Which data edges cross broken silicon: a hop cell that is faulted at its
    modulo slot, or a link (including the implicit first and final hops) that
@@ -37,7 +36,7 @@ let corrupted_edges (m : Mapping.t) =
       let hop_bad =
         List.exists
           (fun (res, elapsed) ->
-            Plaid_arch.Arch.cell_faulty arch ~res ~slot:(slot_norm ~ii (t_src + elapsed)))
+            Plaid_arch.Arch.cell_faulty arch ~res ~slot:(Schedule.slot ~ii (t_src + elapsed)))
           r.re_path
       in
       let chain = (m.place.(e.src) :: List.map fst r.re_path) @ [ m.place.(e.dst) ] in
@@ -97,7 +96,7 @@ let fire_all (m : Mapping.t) spm ~mark =
   let fu_bad =
     Array.init n (fun v ->
         faulty
-        && Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v) ~slot:(slot_norm ~ii m.times.(v)))
+        && Plaid_arch.Arch.cell_faulty arch ~res:m.place.(v) ~slot:(Schedule.slot ~ii m.times.(v)))
   in
   (* Per node: the operand array with immediates filled in, and the data
      edges that overwrite it on every firing. *)

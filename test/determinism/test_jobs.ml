@@ -73,6 +73,15 @@ let golden_map_st =
     ("conv3x3", "b54410cb5c75fd3b740065577422b187");
     ("cholesky_u4", "c024da0064fefcaddf1461946f9ca270") ]
 
+(* [Driver.map] with SA alone, no pool: [best_of] reaches SA only where
+   PathFinder misses MII, so these pin the annealer directly.  conv3x3
+   under the quick budget maps at no II (the digest of the empty blob). *)
+let golden_sa =
+  [ ("atax_u4", Plaid_mapping.Anneal.default, "ec0aa2632adac7a6a9818562ee2aee7a");
+    ("durbin_u2", Plaid_mapping.Anneal.default, "17b1845c298e93da7b95a9fda17a5af5");
+    ("gesummv_u2", Plaid_mapping.Anneal.default, "4c275a6138e59788eafa696953cac6a7");
+    ("conv3x3", Plaid_mapping.Anneal.quick, "d41d8cd98f00b204e9800998ecf8427e") ]
+
 let blob_md5 m =
   Digest.to_hex
     (Digest.string (match m with None -> "" | Some m -> Plaid_mapping.Mapfile.to_string m))
@@ -93,6 +102,14 @@ let check_golden_digests pool =
       let o = Plaid_mapping.Driver.best_of ~pool ~algos ~arch ~dfg ~seed:17 () in
       expect "best_of" kernel want (blob_md5 o.Plaid_mapping.Driver.mapping))
     golden_best_of;
+  List.iter
+    (fun (kernel, params, want) ->
+      let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find kernel) in
+      let o =
+        Plaid_mapping.Driver.map ~algo:(Plaid_mapping.Driver.Sa params) ~arch ~dfg ~seed:17 ()
+      in
+      expect "sa" kernel want (blob_md5 o.Plaid_mapping.Driver.mapping))
+    golden_sa;
   let ctx = Plaid_exp.Ctx.create ~pool () in
   List.iter
     (fun (kernel, want) ->

@@ -598,6 +598,106 @@ let prop_sa_valid =
       | None -> false
       | Some m -> Mapping.validate m = Ok ())
 
+(* [Anneal_core.try_move] on a real kernel: every rejected or declined
+   move leaves the route table, the MRRG and the placement exactly as it
+   found them, and a declined move draws no random number. *)
+let test_try_move_rolls_back () =
+  let arch = Lazy.force st4 in
+  let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "atax_u2") in
+  let cap = Plaid_arch.Arch.capacity arch in
+  let ii = Analysis.mii g cap + 1 in
+  let times =
+    match Schedule.compute g ~ii ~cap with Some t -> t | None -> Alcotest.fail "no schedule"
+  in
+  let rng = Plaid_util.Rng.create 7 in
+  let mrrg = Mrrg.create arch ~ii in
+  let place =
+    match Greedy.initial_place mrrg g ~times ~rng with
+    | Some p -> p
+    | None -> Alcotest.fail "no initial placement"
+  in
+  let t = Route_table.create mrrg g ~times ~place in
+  Route_table.route_all t;
+  let ne = Array.length g.Dfg.edges in
+  let state () =
+    ( Route_table.snapshot_edges t (List.init ne Fun.id),
+      Route_table.unrouted t,
+      List.init (Plaid_arch.Arch.n_resources arch) (fun res ->
+          List.init ii (fun slot ->
+              let c = Mrrg.cell mrrg res slot in
+              (* a signal's place in the list depends on release order *)
+              (c.Mrrg.exec, List.sort compare c.Mrrg.signals))),
+      Array.to_list
+        (Array.map
+           (fun fu -> List.init ii (fun slot -> Mrrg.fu_free mrrg ~fu ~slot))
+           arch.Plaid_arch.Arch.fus),
+      Array.copy place,
+      Array.copy times )
+  in
+  (* Move [v] to another free FU one whole II later: the slot is the same,
+     but every outgoing edge loses II cycles of budget, so the move is
+     almost always uphill. *)
+  let move_of v =
+    let slot = Schedule.slot ~ii times.(v) and fu0 = place.(v) and t0 = times.(v) in
+    Array.to_list arch.Plaid_arch.Arch.fus
+    |> List.find_opt (fun fu ->
+           fu <> fu0
+           && Plaid_arch.Arch.fu_supports arch fu (Dfg.node g v).op
+           && Mrrg.fu_free mrrg ~fu ~slot)
+    |> Option.map (fun fu ->
+           let put ~from ~fu ~time =
+             Mrrg.unplace_node mrrg ~node:v ~fu:from ~slot;
+             Mrrg.place_node mrrg ~node:v ~fu ~slot;
+             place.(v) <- fu;
+             times.(v) <- time
+           in
+           ( (fun () -> put ~from:fu0 ~fu ~time:(t0 + ii)),
+             fun () -> put ~from:fu ~fu:fu0 ~time:t0 ))
+  in
+  let rejected = ref 0 and declined = ref 0 in
+  for v = 0 to Dfg.n_nodes g - 1 do
+    match move_of v with
+    | None -> ()
+    | Some (apply, undo) ->
+      let edges = Route_table.incident t v in
+      (* The wire cost is a running float sum (see [Route_table.total_cost]):
+         a route-then-release round trip may leave its last bits changed,
+         so the total is compared within a tolerance, never bit for bit. *)
+      let check_restored what before cost_before =
+        if state () <> before then Alcotest.failf "node %d: %s move left state changed" v what;
+        let cost = Route_table.total_cost t in
+        if Float.abs (cost -. cost_before) > 1e-9 then
+          Alcotest.failf "node %d: %s move: total_cost %h, was %h" v what cost cost_before
+      in
+      let before = state () and cost_before = Route_table.total_cost t in
+      let probe = Plaid_util.Rng.copy rng in
+      let kept =
+        Anneal_core.try_move t ~edges
+          ~apply:(fun () ->
+            apply ();
+            false)
+          ~undo ~rng ~temp:1e-9
+      in
+      check Alcotest.bool "declined move kept" false kept;
+      check Alcotest.int64 "declined move draws nothing" (Plaid_util.Rng.bits64 probe)
+        (Plaid_util.Rng.bits64 (Plaid_util.Rng.copy rng));
+      check_restored "declined" before cost_before;
+      incr declined;
+      if
+        not
+          (Anneal_core.try_move t ~edges
+             ~apply:(fun () ->
+               apply ();
+               true)
+             ~undo ~rng ~temp:1e-9)
+      then begin
+        check_restored "rejected" before cost_before;
+        incr rejected
+      end
+  done;
+  check Alcotest.bool "some moves declined" true (!declined > 0);
+  check Alcotest.bool "some moves rejected" true (!rejected >= 5)
+
 let suites =
   [
     ( "arch",
@@ -630,6 +730,7 @@ let suites =
         Alcotest.test_case "respects occupancy" `Quick test_route_respects_occupancy;
         Alcotest.test_case "route table cost = full scan" `Quick
           test_route_table_cost_matches_full_scan;
+        Alcotest.test_case "rejected move rolls back" `Quick test_try_move_rolls_back;
       ] );
     ( "mappers",
       [
