@@ -15,51 +15,14 @@ let mapped_arg = function
   | Some _ -> [ ("mapped", "true") ]
   | None -> [ ("mapped", "false") ]
 
-(* One II attempt is a pure function of (algo, arch, dfg, seed, ii): the
-   RNG stream for II [ii] is derived by index from the seed rather than
-   threaded through the search loop, so speculative parallel attempts at
-   several IIs produce exactly the values the sequential loop would. *)
-let attempt_at ~algo ~arch ~dfg ~cap ~base ii =
-  Obs.Trace.with_span ~cat:"driver" "driver.ii_attempt"
-    ~args:[ ("algo", algo_name algo); ("ii", string_of_int ii) ]
-    ~result:mapped_arg
-  @@ fun () ->
-  Explain.with_attempt ~algo:(algo_name algo) ~ii ~mapped:Option.is_some @@ fun () ->
-  Obs.Metrics.incr m_ii_attempts;
-  let rng = Plaid_util.Rng.derive base ii in
-  (* PathFinder cannot retime, so prefer a schedule with a two-cycle
-     routing budget per edge; fall back to the tight schedule when
-     recurrences make the padded one infeasible. *)
-  let schedules =
-    Explain.phase "schedule" @@ fun () ->
-    match algo with
-    | Sa _ -> [ Schedule.compute dfg ~ii ~cap ]
-    | Pf _ -> [ Schedule.compute ~lat:2 dfg ~ii ~cap; Schedule.compute dfg ~ii ~cap ]
-  in
-  let run times =
-    match algo with
-    | Sa params -> Anneal.map_at_ii arch dfg ~ii ~times ~params ~rng:(Plaid_util.Rng.split rng)
-    | Pf params ->
-      Pathfinder.map_at_ii arch dfg ~ii ~times ~params ~rng:(Plaid_util.Rng.split rng)
-  in
-  let result =
-    List.fold_left
-      (fun acc sched ->
-        match (acc, sched) with
-        | Some _, _ | _, None -> acc
-        | None, Some times -> run times)
-      None schedules
-  in
-  if Option.is_some result then Obs.Metrics.incr m_mapped;
-  result
-
-(* The II search over [mii, limit].  [limit] is the config depth for a plain
-   [map]; [best_of] passes one below the best II an earlier entry found, so
-   a search that cannot win stops early.  Only a search that reached the
-   config depth warns: failing under a lower limit is not a failure to map. *)
-let ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () =
+(* The one II search over [mii, limit].  [limit] is [max_ii] for a full
+   search; [best_of] passes one below the best II an earlier entry found,
+   so a search that cannot win stops early.  [attempt] is a pure function
+   of its II, so speculative parallel attempts at several IIs produce
+   exactly the values the sequential loop would. *)
+let search ?pool ?limit ~name ~seed ~mii ~max_ii attempt =
   Obs.Trace.with_span ~cat:"driver" "driver.map"
-    ~args:[ ("algo", algo_name algo); ("seed", string_of_int seed) ]
+    ~args:[ ("algo", name); ("seed", string_of_int seed) ]
     ~result:(fun o ->
       ("attempts", string_of_int o.attempts)
       ::
@@ -67,18 +30,19 @@ let ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () =
       | Some m -> [ ("ii", string_of_int m.Mapping.ii) ]
       | None -> [ ("mapped", "false") ]))
   @@ fun () ->
-  let cap = Plaid_arch.Arch.capacity arch in
-  let mii = Analysis.mii dfg cap in
-  let max_ii = arch.Plaid_arch.Arch.config.entries in
   let limit = match limit with Some l -> min l max_ii | None -> max_ii in
-  let give_up tried =
-    if limit = max_ii then
-      Obs.Log.warn ~sub:"driver" "%s: no mapping up to II %d (%s, %d attempts)" dfg.Dfg.name
-        max_ii (algo_name algo) tried;
-    { mapping = None; mii; attempts = tried }
+  let attempt ii =
+    Obs.Trace.with_span ~cat:"driver" "driver.ii_attempt"
+      ~args:[ ("algo", name); ("ii", string_of_int ii) ]
+      ~result:mapped_arg
+    @@ fun () ->
+    Explain.with_attempt ~algo:name ~ii ~mapped:Option.is_some @@ fun () ->
+    Obs.Metrics.incr m_ii_attempts;
+    let result = attempt ii in
+    if Option.is_some result then Obs.Metrics.incr m_mapped;
+    result
   in
-  let base = Plaid_util.Rng.create seed in
-  let attempt = attempt_at ~algo ~arch ~dfg ~cap ~base in
+  let give_up tried = { mapping = None; mii; attempts = tried } in
   let width = match pool with Some p -> Plaid_util.Pool.size p | None -> 1 in
   if width <= 1 then begin
     let rec search ii tried =
@@ -130,6 +94,50 @@ let ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () =
     in
     search mii 0
   end
+
+let threaded_stream ~seed ~mii ~draws ii =
+  let rng = Plaid_util.Rng.create seed in
+  for i = mii to ii - 1 do
+    for _ = 1 to draws i do ignore (Plaid_util.Rng.split rng) done
+  done;
+  rng
+
+(* A PF/SA attempt at one II: its RNG stream is derived by index from the
+   seed ([Rng.derive]) rather than threaded through the IIs before it. *)
+let attempt_at ~algo ~arch ~dfg ~cap ~base ii =
+  let rng = Plaid_util.Rng.derive base ii in
+  (* PathFinder cannot retime, so prefer a schedule with a two-cycle
+     routing budget per edge; fall back to the tight schedule when
+     recurrences make the padded one infeasible. *)
+  let schedules =
+    Explain.phase "schedule" @@ fun () ->
+    match algo with
+    | Sa _ -> [ Schedule.compute dfg ~ii ~cap ]
+    | Pf _ -> [ Schedule.compute ~lat:2 dfg ~ii ~cap; Schedule.compute dfg ~ii ~cap ]
+  in
+  let run times =
+    match algo with
+    | Sa params -> Anneal.map_at_ii arch dfg ~ii ~times ~params ~rng:(Plaid_util.Rng.split rng)
+    | Pf params ->
+      Pathfinder.map_at_ii arch dfg ~ii ~times ~params ~rng:(Plaid_util.Rng.split rng)
+  in
+  List.find_map (fun sched -> Option.bind sched run) schedules
+
+(* Only a full search warns: failing under a lower [limit] is not a
+   failure to map. *)
+let ii_search ?pool ?limit ~algo ~arch ~dfg ~seed () =
+  let cap = Plaid_arch.Arch.capacity arch in
+  let mii = Analysis.mii dfg cap in
+  let max_ii = arch.Plaid_arch.Arch.config.entries in
+  let base = Plaid_util.Rng.create seed in
+  let o =
+    search ?pool ?limit ~name:(algo_name algo) ~seed ~mii ~max_ii
+      (attempt_at ~algo ~arch ~dfg ~cap ~base)
+  in
+  if Option.is_none o.mapping && Option.is_none limit then
+    Obs.Log.warn ~sub:"driver" "%s: no mapping up to II %d (%s, %d attempts)" dfg.Dfg.name
+      max_ii (algo_name algo) o.attempts;
+  o
 
 let map ?pool ~algo ~arch ~dfg ~seed () = ii_search ?pool ~algo ~arch ~dfg ~seed ()
 

@@ -15,14 +15,46 @@ type outcome = {
   attempts : int;  (** IIs tried *)
 }
 
+val search :
+  ?pool:Plaid_util.Pool.t ->
+  ?limit:int ->
+  name:string ->
+  seed:int ->
+  mii:int ->
+  max_ii:int ->
+  (int -> Mapping.t option) ->
+  outcome
+(** The one II search every mapper runs through.  [attempt ii] tries one
+    II and must be a pure function of [ii]: its result may not depend on
+    which attempts ran before it, so attempts can run in any order.  IIs
+    are tried upward from [mii] to [max_ii], or to [limit] when that is
+    lower, and the first that maps wins.  [name] labels the attempts
+    ("pf", "sa", "hier", "spatial") and [seed] is only recorded.
+
+    The search owns the [driver.map] and [driver.ii_attempt] trace spans,
+    one {!Explain.with_attempt} per II, and the [driver/ii_attempts],
+    [driver/mapped] and [driver/wasted_ii_attempts] counters.  With
+    [~pool], a window of consecutive IIs (pool width) is attempted
+    speculatively and the lowest that maps wins, so the outcome — mapping,
+    MII, and attempt count — is the sequential one for every pool size.
+    Logs nothing: a caller that treats a failed search as news warns. *)
+
+val threaded_stream : seed:int -> mii:int -> draws:(int -> int) -> int -> Plaid_util.Rng.t
+(** [threaded_stream ~seed ~mii ~draws ii] is the stream a mapper that
+    threads one RNG through its IIs holds when it reaches [ii]:
+    [Rng.create seed] after [draws i] {!Plaid_util.Rng.split}s for each
+    [i] in [[mii, ii)].  [draws i] must be the number of splits a failed
+    attempt at [i] takes, and nothing else may draw from the threaded
+    stream.  This turns such a mapper's attempt into a pure function of
+    its II, as {!search} requires. *)
+
 val map :
   ?pool:Plaid_util.Pool.t ->
   algo:algo -> arch:Plaid_arch.Arch.t -> dfg:Plaid_ir.Dfg.t -> seed:int -> unit -> outcome
-(** With [~pool], consecutive candidate IIs are attempted speculatively in
-    parallel (window = pool width) and the lowest feasible II wins.  Each
-    II's RNG stream is derived by index from the seed ([Rng.derive]), so
-    the outcome — mapping, MII, and attempt count — is bit-identical to the
-    sequential search for every pool size. *)
+(** {!search} from MII to the configuration depth with the PF or SA
+    attempt.  Each II's RNG stream is derived by index from the seed
+    ([Rng.derive]), so the outcome is bit-identical with and without
+    [~pool].  Warns when no II maps. *)
 
 (** {1 Fault repair} *)
 

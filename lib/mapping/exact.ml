@@ -198,10 +198,10 @@ let find arch g ~ii ~times ~budget =
   in
   { mapping; explored = !explored; exhausted = !exhausted }
 
-let min_ii arch g ?max_ii ~budget () =
+let min_ii arch g ~budget =
   let cap = Plaid_arch.Arch.capacity arch in
   let mii = Analysis.mii g cap in
-  let top = match max_ii with Some m -> m | None -> arch.Plaid_arch.Arch.config.entries in
+  let top = arch.Plaid_arch.Arch.config.entries in
   let rec go ii =
     if ii > top then None
     else begin

@@ -31,9 +31,7 @@ val find :
 val min_ii :
   Plaid_arch.Arch.t ->
   Plaid_ir.Dfg.t ->
-  ?max_ii:int ->
   budget:int ->
-  unit ->
   (int * Mapping.t) option
-(** Smallest II (starting at MII) with a complete exact mapping; tries the
-    padded schedule first like the drivers do. *)
+(** Smallest II, from MII up to the configuration depth, with a complete
+    exact mapping; tries the padded schedule first like the drivers do. *)

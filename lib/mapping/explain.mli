@@ -13,7 +13,7 @@ type phase = { ph_name : string; ph_ms : float }
 
 type attempt = {
   at_seq : int;  (** global start order *)
-  at_algo : string;  (** "sa", "pf", or "hier" *)
+  at_algo : string;  (** "sa", "pf", "hier" or "spatial" *)
   at_ii : int;
   mutable at_mapped : bool;
   mutable at_ms : float;

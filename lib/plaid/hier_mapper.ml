@@ -371,50 +371,39 @@ let port_bound_admits g hier ~ii =
        (fun m -> n_outside_sources g m <= Pcu.global_in_legs)
        hier.Motif_gen.motifs
 
-let map_hier ?(params = default) ~plaid ~hier ~seed dfg =
-  let g = dfg in
+(* One RNG is threaded through the IIs: a failed II draws one stream per
+   restart per schedule, and so does a port-bound skip, so II [k]'s stream
+   is {!Driver.threaded_stream} over the schedule counts below [k]. *)
+let map_hier ?(params = default) ~plaid ~hier ~seed g =
   let cap = Plaid_arch.Arch.capacity plaid.Pcu.arch in
   let mii = Analysis.mii g cap in
   let max_ii = plaid.Pcu.arch.Plaid_arch.Arch.config.entries in
-  let rng = Plaid_util.Rng.create seed in
-  let rec attempt ii =
-    if ii > max_ii then { mapping = None; hier; mii }
-    else begin
-      let result =
-        Explain.with_attempt ~algo:"hier" ~ii ~mapped:Option.is_some @@ fun () ->
-        (* inter-PCU hops cost two cycles (result register + conveyor-belt
-           register), so prefer a schedule with a two-cycle budget per edge;
-           larger fabrics may need a third cycle of slack, and recurrence-
-           bound kernels fall back to the tight schedule *)
-        let schedules =
-          Explain.phase "schedule" @@ fun () ->
-          List.filter_map
-            (fun lat -> Schedule.compute ~lat g ~ii ~cap)
-            [ 2; 3; 1 ]
-        in
-        let restarts base =
-          Anneal_core.first_success ~restarts:params.restarts ~rng (fun rng ->
-              run_once ~params plaid g hier ~ii ~base ~rng)
-        in
-        if port_bound_admits g hier ~ii then
-          List.fold_left
-            (fun acc base -> match acc with Some _ -> acc | None -> restarts base)
-            None schedules
-        else
-          (* skip the hopeless anneal, but draw the restart streams its
-             failures would have drawn, so later IIs map byte-identically *)
-          Explain.phase "port-bound" @@ fun () ->
-          for _ = 1 to params.restarts * List.length schedules do
-            ignore (Plaid_util.Rng.split rng)
-          done;
-          None
-      in
-      match result with
-      | Some m -> { mapping = Some m; hier; mii }
-      | None -> attempt (ii + 1)
-    end
+  (* inter-PCU hops cost two cycles (result register + conveyor-belt
+     register), so prefer a schedule with a two-cycle budget per edge;
+     larger fabrics may need a third cycle of slack, and recurrence-bound
+     kernels fall back to the tight schedule *)
+  let memo = Plaid_util.Memo.create 16 in
+  let schedules ii =
+    Plaid_util.Memo.find_or_compute memo ii (fun () ->
+        List.filter_map (fun lat -> Schedule.compute ~lat g ~ii ~cap) [ 2; 3; 1 ])
   in
-  attempt mii
+  let attempt ii =
+    let bases = Explain.phase "schedule" (fun () -> schedules ii) in
+    if port_bound_admits g hier ~ii then
+      let rng =
+        Driver.threaded_stream ~seed ~mii
+          ~draws:(fun i -> params.restarts * List.length (schedules i))
+          ii
+      in
+      List.find_map
+        (fun base ->
+          Anneal_core.first_success ~restarts:params.restarts ~rng (fun rng ->
+              run_once ~params plaid g hier ~ii ~base ~rng))
+        bases
+    else Explain.phase "port-bound" (fun () -> None)
+  in
+  let o = Driver.search ~name:"hier" ~seed ~mii ~max_ii attempt in
+  { mapping = o.Driver.mapping; hier; mii }
 
 (* The motif cover is a cheap deterministic function of (seed, dfg); it is
    exposed so a mapping-cache hit can rebuild the full outcome without

@@ -13,7 +13,9 @@
     least-loaded PCUs (lines 1-4); the annealing loop un-places one entity
     at a time, draws a placement candidate and a schedule, routes, and
     keeps the best-cost outcome with occasional uphill acceptance
-    (lines 5-11); the driver increments II on failure (line 12). *)
+    (lines 5-11).  Line 12, "the driver increments II on failure", is
+    {!Plaid_mapping.Driver.search}: this mapper supplies one II attempt
+    and the driver walks the IIs, as it does for PathFinder and SA. *)
 
 type params = {
   iterations : int;
@@ -39,7 +41,8 @@ val port_bound_admits : Plaid_ir.Dfg.t -> Motif_gen.hier -> ii:int -> bool
     [ii]: at II 1 a motif fills all three ALUs of its PCU in the only
     slot, so each distinct source outside the motif with a data edge into
     it needs its own global-to-local leg ({!Pcu.global_in_legs}).  Always
-    [true] above II 1.  {!map_hier} skips the IIs this rejects. *)
+    [true] above II 1.  {!map_hier} fails the IIs this rejects without
+    annealing. *)
 
 val default_hier : seed:int -> Plaid_ir.Dfg.t -> Motif_gen.hier
 (** The motif cover {!map} would generate for this seed — deterministic
@@ -48,6 +51,12 @@ val default_hier : seed:int -> Plaid_ir.Dfg.t -> Motif_gen.hier
 
 val map :
   ?params:params -> plaid:Pcu.t -> seed:int -> Plaid_ir.Dfg.t -> outcome
+(** Maps at the lowest II from MII up to the configuration depth, with the
+    motif cover {!default_hier} generates.  Each restart under each
+    schedule of an II anneals under one [Rng.split] of a stream threaded
+    from [Rng.create seed], so II [k] starts from that stream after
+    [restarts] splits per schedule of every II below [k], port-bound ones
+    included ({!Plaid_mapping.Driver.threaded_stream}). *)
 
 val map_hier :
   ?params:params ->

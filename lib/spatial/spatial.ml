@@ -33,37 +33,35 @@ let map_segment a seg ~seed =
      a dependence cycle keep unit spacing so II = RecMII stays feasible *)
   let comp = Partition.scc_ids seg in
   let mixed (e : Plaid_ir.Dfg.edge) = if comp.(e.src) = comp.(e.dst) then 1 else 2 in
-  let rng = Plaid_util.Rng.create seed in
   (* throughput floor: recurrences, and the four single-ported scratchpad
      banks — a segment with more live memory operations than ports stalls *)
   let mem_ops = Plaid_ir.Analysis.n_memory_class seg in
   let rec_mii =
     max (Plaid_ir.Analysis.rec_mii seg) ((mem_ops + spm_ports - 1) / spm_ports)
   in
-  (* a dataflow segment may also run slower than its recurrence bound when
-     routing is cramped: feedback paths simply stretch (II = rec + k) *)
-  let rec over_ii k =
-    if k > rec_mii + 4 then None
-    else begin
-      let ii = rec_mii + k in
-      let schedules =
-        [ Schedule.compute ~lat_for:mixed seg ~ii ~cap; Schedule.compute seg ~ii ~cap ]
-      in
-      let m =
-        List.fold_left
-          (fun acc sched ->
-            match (acc, sched) with
-            | Some _, _ | _, None -> acc
-            | None, Some times ->
-              Anneal.map_at_ii a seg ~ii ~times
-                ~params:{ Anneal.default with restarts = 8 }
-                ~rng:(Plaid_util.Rng.split rng))
-          None schedules
-      in
-      match m with Some _ -> m | None -> over_ii (k + 1)
-    end
+  let memo = Plaid_util.Memo.create 8 in
+  let schedules ii =
+    Plaid_util.Memo.find_or_compute memo ii (fun () ->
+        List.filter_map Fun.id
+          [ Schedule.compute ~lat_for:mixed seg ~ii ~cap; Schedule.compute seg ~ii ~cap ])
   in
-  over_ii 0
+  (* one RNG threaded through the IIs, one stream per schedule tried *)
+  let attempt ii =
+    let rng =
+      Driver.threaded_stream ~seed ~mii:rec_mii ~draws:(fun i -> List.length (schedules i)) ii
+    in
+    List.find_map
+      (fun times ->
+        Anneal.map_at_ii a seg ~ii ~times
+          ~params:{ Anneal.default with restarts = 8 }
+          ~rng:(Plaid_util.Rng.split rng))
+      (schedules ii)
+  in
+  (* a dataflow segment may also run slower than its recurrence bound when
+     routing is cramped: feedback paths simply stretch, up to
+     II = 2 * RecMII + 4 *)
+  (Driver.search ~name:"spatial" ~seed ~mii:rec_mii ~max_ii:((2 * rec_mii) + 4) attempt)
+    .Driver.mapping
 
 let run ?(seed = 1) g =
   let a = arch () in

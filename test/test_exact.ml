@@ -14,7 +14,7 @@ let small_chain k =
 
 let test_exact_finds_mapping () =
   let g = small_chain 1 in
-  match Exact.min_ii (Lazy.force st4) g ~budget:200000 () with
+  match Exact.min_ii (Lazy.force st4) g ~budget:200000 with
   | None -> Alcotest.fail "exact found nothing"
   | Some (ii, m) ->
     check Alcotest.int "at mii" (Analysis.mii g (Plaid_arch.Arch.capacity (Lazy.force st4))) ii;
@@ -60,7 +60,7 @@ let test_exact_agrees_with_validator () =
   List.iter
     (fun seed ->
       let g = Generate.tree { Generate.seed = seed; size = 4; trip = 8 } in
-      match Exact.min_ii (Lazy.force st4) g ~budget:200000 () with
+      match Exact.min_ii (Lazy.force st4) g ~budget:200000 with
       | None -> Alcotest.failf "tree seed %d unmappable" seed
       | Some (_, m) -> (
         match Mapping.validate m with
@@ -75,7 +75,7 @@ let test_sa_optimality_gap () =
     (fun seed ->
       let g = Generate.chain { Generate.seed = seed; size = 5; trip = 8 } in
       let arch = Lazy.force st4 in
-      match Exact.min_ii arch g ~budget:300000 () with
+      match Exact.min_ii arch g ~budget:300000 with
       | None -> () (* nothing to compare against *)
       | Some (exact_ii, _) -> (
         match

@@ -314,7 +314,11 @@ let test_hier_port_bound () =
    byte-identical.  gesummv_u2 and gramsc_u4 were recorded before the
    annealing transaction was shared with the SA mapper; they change if a
    declined motif move skips its route-and-release round trip (see
-   [Route_table.total_cost] on why that round trip shows in the bytes). *)
+   [Route_table.total_cost] on why that round trip shows in the bytes).
+   seidel and bicg_u4 anneal and fail IIs before they map: seidel fails
+   II 5 under default parameters, and quick bicg_u4 fails II 6 with one
+   schedule and II 7 with two, so they change if an II's RNG stream stops
+   continuing the failed IIs' draws. *)
 let test_hier_golden_mapfiles () =
   let plaid_2x2 = Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" () in
   let plaid_3x3 = Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" () in
@@ -328,20 +332,23 @@ let test_hier_golden_mapfiles () =
     Option.get (Plaid_dse.Space.build c).Plaid_dse.Space.pcu
   in
   List.iter
-    (fun (kernel, plaid, seed, want) ->
+    (fun (kernel, plaid, seed, params, want) ->
       let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find kernel) in
-      match (Hier_mapper.map ~plaid ~seed g).Hier_mapper.mapping with
+      match (Hier_mapper.map ~params ~plaid ~seed g).Hier_mapper.mapping with
       | None -> Alcotest.failf "%s: unmapped" kernel
       | Some m ->
         check Alcotest.string kernel want
           (Digest.to_hex (Digest.string (Plaid_mapping.Mapfile.to_string m))))
-    [ ("jacobi", plaid_2x2, 2025, "80f732f9d9e9f96eeed7497da91d4b0a");
-      ("seidel_u2", plaid_3x3, 2025, "4664044e20ed12f4dadab8789d435c19");
-      (* the seed Plaid_dse.Eval derives for this candidate under campaign
-         seed 2025 *)
-      ("dwconv", dse_plaid3, 1258643394961280375, "3bc4a2582d22fe68f9dd856c9191abd3");
-      ("gesummv_u2", plaid_2x2, 2025, "83137ff08244aa49bdca3bd01c9acfdc");
-      ("gramsc_u4", plaid_2x2, 2025, "1e155b284a739a35d3107754bbdef55c") ]
+    Hier_mapper.
+      [ ("jacobi", plaid_2x2, 2025, default, "80f732f9d9e9f96eeed7497da91d4b0a");
+        ("seidel_u2", plaid_3x3, 2025, default, "4664044e20ed12f4dadab8789d435c19");
+        (* the seed Plaid_dse.Eval derives for this candidate under campaign
+           seed 2025 *)
+        ("dwconv", dse_plaid3, 1258643394961280375, default, "3bc4a2582d22fe68f9dd856c9191abd3");
+        ("gesummv_u2", plaid_2x2, 2025, default, "83137ff08244aa49bdca3bd01c9acfdc");
+        ("gramsc_u4", plaid_2x2, 2025, default, "1e155b284a739a35d3107754bbdef55c");
+        ("seidel", plaid_2x2, 2025, default, "feaa108d684e60e0052b39fcdb79350a");
+        ("bicg_u4", plaid_2x2, 2025, quick, "c1fca09f90acad5f89dfefd3fb3825e1") ]
 
 (* An II the port bound rejects is recorded, but never annealed. *)
 let test_hier_skips_rejected_ii () =
@@ -373,6 +380,25 @@ let test_hier_skips_rejected_ii () =
       check Alcotest.bool "port-bound phase" true
         (List.exists (fun (ph : E.phase) -> ph.ph_name = "port-bound") at.at_phases))
     rejected
+
+(* Hier attempts run through the driver's one II search, so they count in
+   the driver/* metrics: jacobi's II 1 is port-bound and II 2 maps. *)
+let test_hier_driver_counters () =
+  let module Metrics = Plaid_obs.Metrics in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let counter name = List.assoc name (Metrics.snapshot ()).Metrics.counters in
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let g = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "jacobi") in
+      let o = Hier_mapper.map ~plaid:(Lazy.force plaid2) ~seed:2025 g in
+      check Alcotest.(option int) "II" (Some 2)
+        (Option.map (fun m -> m.Plaid_mapping.Mapping.ii) o.Hier_mapper.mapping);
+      check Alcotest.int "driver/ii_attempts" 2 (counter "driver/ii_attempts");
+      check Alcotest.int "driver/mapped" 1 (counter "driver/mapped"))
 
 (* ---------------------------------------------------------- specialization *)
 
@@ -445,6 +471,7 @@ let suites =
         Alcotest.test_case "II-1 port bound" `Quick test_hier_port_bound;
         Alcotest.test_case "golden mapfiles" `Quick test_hier_golden_mapfiles;
         Alcotest.test_case "rejected II not annealed" `Quick test_hier_skips_rejected_ii;
+        Alcotest.test_case "driver counts attempts" `Quick test_hier_driver_counters;
       ] );
     ( "specialize",
       [
