@@ -30,9 +30,9 @@ let run_experiments pool =
 
 let gemm_dfg = lazy (Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "gemm_u2"))
 
-let plaid = lazy (Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" ())
+let plaid = lazy (Option.get (Plaid_core.Fabrics.build Plaid).pcu)
 
-let st_arch = lazy (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_4x4 ~name:"st_4x4")
+let st_arch = lazy (Plaid_core.Fabrics.build St).arch
 
 let bench_motif_gen =
   Bechamel.Test.make ~name:"motif-generation(gemm_u2)"

@@ -11,24 +11,13 @@
 
 open Cmdliner
 
-let arch_names = [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml"; "spatial" ]
-
-(* Uniform bad-name handling: every unknown subcommand, architecture, mapper
-   or experiment name prints the valid choices to stderr and exits 2. *)
+(* Uniform bad-name handling: every unknown experiment, strategy, space,
+   suite or cache action prints the valid choices to stderr and exits 2,
+   as cmdliner does for unknown subcommands and -a names. *)
 let die_unknown ~what name choices : 'a =
   Printf.eprintf "plaidc: unknown %s '%s' (choose from %s)\n" what name
     (String.concat ", " choices);
   exit 2
-
-let fabric_of_name ctx = function
-  | "st" -> Some (Plaid_exp.Ctx.st ctx)
-  | "st6" -> Some (Plaid_exp.Ctx.st6 ctx)
-  | "stml" -> Some (Plaid_exp.Ctx.st_ml ctx)
-  | "plaid" -> Some (Plaid_exp.Ctx.plaid2 ctx).Plaid_core.Pcu.arch
-  | "plaid3" -> Some (Plaid_exp.Ctx.plaid3 ctx).Plaid_core.Pcu.arch
-  | "plaidml" -> Some (Plaid_exp.Ctx.plaid_ml ctx).Plaid_core.Pcu.arch
-  | "spatial" -> Some (Plaid_spatial.Spatial.arch ())
-  | _ -> None
 
 let list_cmd =
   let run () : int =
@@ -55,9 +44,52 @@ let kernel_arg =
   let doc = "Kernel name, e.g. gemm_u2 (see 'plaidc list')." in
   Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KERNEL" ~doc)
 
-let arch_arg =
-  let doc = Printf.sprintf "Target architecture: %s." (String.concat ", " arch_names) in
-  Arg.(value & opt string "plaid" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
+(* -a resolves before any work runs: a name from the fabric table, an ADL
+   file as @FILE, or (for map, rtl and faults) the spatial baseline.  A bad
+   value is a cmdliner error, so it lists the choices on stderr and exits 2
+   like every other bad name. *)
+type arch =
+  | Named of Plaid_core.Fabrics.fabric
+  | Adl of string * Plaid_core.Fabrics.built
+  | Spatial
+
+let built_of = function
+  | Named f -> Plaid_core.Fabrics.build f
+  | Adl (_, b) -> b
+  | Spatial -> { Plaid_core.Fabrics.arch = Plaid_spatial.Spatial.arch (); pcu = None }
+
+(* every fabric maps with its own mapper: hierarchical when it has a PCU
+   view, the PathFinder + SA portfolio otherwise *)
+let map_on ~pool (b : Plaid_core.Fabrics.built) ~dfg ~seed =
+  Plaid_serve.Compile.run ~pool (Plaid_serve.Compile.for_fabric b.pcu) ~arch:b.arch ~dfg ~seed
+
+let arch_arg ~spatial =
+  let choices = Plaid_core.Fabrics.names @ if spatial then [ "spatial" ] else [] in
+  let parse s =
+    match Plaid_core.Fabrics.of_name s with
+    | Some f -> Ok (Named f)
+    | None when spatial && s = "spatial" -> Ok Spatial
+    | None when String.length s > 1 && s.[0] = '@' ->
+      let path = String.sub s 1 (String.length s - 1) in
+      Result.map (fun b -> Adl (path, b)) (Plaid_core.Fabrics.of_file path)
+    | None ->
+      Error
+        (Printf.sprintf "unknown architecture '%s' (choose from %s, or @FILE.adl)" s
+           (String.concat ", " choices))
+  in
+  let print ppf = function
+    | Named f -> Format.pp_print_string ppf (Plaid_core.Fabrics.name f)
+    | Adl (path, _) -> Format.fprintf ppf "@@%s" path
+    | Spatial -> Format.pp_print_string ppf "spatial"
+  in
+  let doc =
+    Printf.sprintf "Target architecture: %s, or @FILE for an ADL architecture file."
+      (String.concat ", " choices)
+  in
+  Arg.(
+    value
+    & opt (conv' (parse, print)) (Named Plaid_core.Fabrics.Plaid)
+    & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
 let seed_arg =
   Arg.(value & opt int 2025 & info [ "seed" ] ~docv:"SEED" ~doc:"Mapper RNG seed.")
@@ -141,28 +173,16 @@ let report_mapping ctx name (m : Plaid_mapping.Mapping.t) =
     (Plaid_exp.Ctx.energy ctx m)
     (Plaid_model.Area.fabric_total m.arch)
 
-let resolve_arch name =
-  let ctx = Plaid_exp.Ctx.create () in
-  match name with
-  | "st_4x4" -> Some (Plaid_exp.Ctx.st ctx)
-  | "st_6x6" -> Some (Plaid_exp.Ctx.st6 ctx)
-  | "st_ml_4x4" -> Some (Plaid_exp.Ctx.st_ml ctx)
-  | "plaid_2x2" -> Some (Plaid_exp.Ctx.plaid2 ctx).Plaid_core.Pcu.arch
-  | "plaid_3x3" -> Some (Plaid_exp.Ctx.plaid3 ctx).Plaid_core.Pcu.arch
-  | "plaid_ml_2x2" -> Some (Plaid_exp.Ctx.plaid_ml ctx).Plaid_core.Pcu.arch
-  | "spatial4x4" -> Some (Plaid_spatial.Spatial.arch ())
-  | _ -> None
-
 (* The post-mapping diagnostic behind `plaidc map --report`: II-search
    timeline, per-phase time breakdown, and congestion/occupancy heatmaps.
    The notice goes to stderr so the mapping report on stdout stays
    byte-identical with or without the flag. *)
-let write_report ?mapping ~kernel ~seed ~arch path =
+let write_report ~outcome ~kernel ~seed ~arch path =
   let content =
     if Filename.check_suffix path ".json" then
-      Plaid_obs.Json.to_string (Plaid_mapping.Explain.json ?mapping ~kernel ~seed ~arch ())
+      Plaid_obs.Json.to_string (Plaid_mapping.Explain.json ~outcome ~kernel ~seed ~arch ())
       ^ "\n"
-    else Plaid_mapping.Explain.ascii ?mapping ~kernel ~seed ~arch ()
+    else Plaid_mapping.Explain.ascii ~outcome ~kernel ~seed ~arch ()
   in
   match open_out path with
   | exception Sys_error msg ->
@@ -197,10 +217,10 @@ let map_cmd =
   let run kernel arch seed viz out report jobs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     if report <> None then Plaid_mapping.Explain.set_enabled true;
-    let maybe_report ?mapping rarch =
+    let maybe_report ~outcome rarch =
       match report with
       | None -> ()
-      | Some path -> write_report ?mapping ~kernel ~seed ~arch:rarch path
+      | Some path -> write_report ~outcome ~kernel ~seed ~arch:rarch path
     in
     match Plaid_workloads.Suite.find kernel with
     | exception Not_found ->
@@ -209,60 +229,27 @@ let map_cmd =
     | entry ->
       with_jobs jobs @@ fun pool ->
       let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      if String.length arch > 0 && arch.[0] = '@' then begin
-        (* architecture from an ADL file *)
-        match Plaid_core.Fabrics.of_file (String.sub arch 1 (String.length arch - 1)) with
-        | Error e ->
-          Printf.eprintf "%s\n" e;
-          1
-        | Ok built -> (
-          let dfg = Plaid_workloads.Suite.dfg entry in
-          let mapping =
-            Plaid_serve.Compile.run ~pool
-              (Plaid_serve.Compile.for_fabric built.Plaid_core.Fabrics.pcu)
-              ~arch:built.Plaid_core.Fabrics.arch ~dfg ~seed
-          in
-          maybe_report ?mapping built.Plaid_core.Fabrics.arch;
-          match mapping with
-          | None ->
-            Printf.eprintf "mapper found no valid mapping\n";
-            1
-          | Some m ->
-            report_mapping ctx kernel m;
-            0)
-      end
-      else
       match arch with
-      | "spatial" -> (
+      | Spatial -> (
+        let sp_arch = Plaid_spatial.Spatial.arch () in
         match Plaid_exp.Ctx.spatial ctx entry with
         | Error e ->
-          maybe_report (Plaid_spatial.Spatial.arch ());
+          maybe_report ~outcome:Failed sp_arch;
           Printf.eprintf "spatial mapping failed: %s\n" e;
           1
         | Ok r ->
-          maybe_report (Plaid_spatial.Spatial.arch ());
+          maybe_report ~outcome:(Segments (List.length r.mappings)) sp_arch;
           Printf.printf "%s on spatial 4x4: %d segments, cycles=%d, energy=%.1f pJ\n" kernel
             (List.length r.mappings)
             (Plaid_exp.Ctx.spatial_cycles ctx r)
             (Plaid_exp.Ctx.spatial_energy ctx r);
           0)
-      | _ -> (
-        let mapping =
-          match arch with
-          | "st" -> Plaid_exp.Ctx.map_st ctx entry
-          | "st6" -> Plaid_exp.Ctx.map_st6 ctx entry
-          | "stml" -> Plaid_exp.Ctx.map_st_ml ctx entry
-          | "plaid" -> (Plaid_exp.Ctx.map_plaid ctx entry).Plaid_core.Hier_mapper.mapping
-          | "plaid3" -> (Plaid_exp.Ctx.map_plaid3 ctx entry).Plaid_core.Hier_mapper.mapping
-          | "plaidml" -> (Plaid_exp.Ctx.map_plaid_ml ctx entry).Plaid_core.Hier_mapper.mapping
-          | other -> die_unknown ~what:"architecture" other arch_names
-        in
-        (match mapping with
-        | Some m -> maybe_report ~mapping:m m.Plaid_mapping.Mapping.arch
-        | None -> (
-          match fabric_of_name ctx arch with
-          | Some a -> maybe_report a
-          | None -> ()));
+      | Named _ | Adl _ -> (
+        let built = built_of arch in
+        let mapping = map_on ~pool built ~dfg:(Plaid_workloads.Suite.dfg entry) ~seed in
+        maybe_report
+          ~outcome:(match mapping with Some m -> Mapped m | None -> Failed)
+          built.arch;
         match mapping with
         | None ->
           Printf.eprintf "mapper found no valid mapping\n";
@@ -298,8 +285,8 @@ let map_cmd =
   Cmd.v
     (Cmd.info "map" ~doc:"Map one kernel onto an architecture and verify it")
     Term.(
-      const run $ kernel_arg $ arch_arg $ seed_arg $ viz_arg $ out_arg $ report_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
+      const run $ kernel_arg $ arch_arg ~spatial:true $ seed_arg $ viz_arg $ out_arg
+      $ report_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let run_cmd =
   let file_arg =
@@ -317,10 +304,18 @@ let run_cmd =
             "Skip mapping validation after loading (failure injection: lets a corrupted \
              mapfile reach the simulator so mismatch handling can be tested).")
   in
+  (* a mapfile names its architecture by the built fabric's own name *)
+  let resolve name =
+    match Plaid_core.Fabrics.of_arch_name name with
+    | Some b -> Some b.arch
+    | None ->
+      let spatial = Plaid_spatial.Spatial.arch () in
+      if spatial.name = name then Some spatial else None
+  in
   let run file no_validate trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     match
-      Plaid_mapping.Mapfile.load ~validate:(not no_validate) ~resolve:resolve_arch ~path:file
+      Plaid_mapping.Mapfile.load ~validate:(not no_validate) ~resolve ~path:file
     with
     | Error e ->
       (* unreadable, truncated, or corrupt input: one line, uniform exit 2 *)
@@ -441,16 +436,7 @@ let compile_cmd =
         Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
         with_jobs jobs @@ fun pool ->
         let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-        let mapper, target =
-          match arch with
-          | "plaid" ->
-            let plaid = Plaid_exp.Ctx.plaid2 ctx in
-            (Plaid_serve.Compile.Hier (plaid, Default), plaid.Plaid_core.Pcu.arch)
-          | "st" -> (Best_of Default, Plaid_exp.Ctx.st ctx)
-          | other -> die_unknown ~what:"mapper" other [ "plaid"; "st" ]
-        in
-        let mapping = Plaid_serve.Compile.run ~pool mapper ~arch:target ~dfg ~seed in
-        match mapping with
+        match map_on ~pool (built_of arch) ~dfg ~seed with
         | None ->
           Printf.eprintf "mapper found no valid mapping\n";
           1
@@ -482,20 +468,15 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a kernel source file end to end")
     Term.(
-      const run $ file_arg $ arch_arg $ seed_arg $ config_arg $ param_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
+      const run $ file_arg $ arch_arg ~spatial:false $ seed_arg $ config_arg $ param_arg
+      $ jobs_arg $ trace_arg $ metrics_arg)
 
 let rtl_cmd =
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Write Verilog here.")
   in
   let run arch out =
-    let ctx = Plaid_exp.Ctx.create () in
-    let a =
-      match fabric_of_name ctx arch with
-      | Some a -> a
-      | None -> die_unknown ~what:"architecture" arch arch_names
-    in
+    let a = (built_of arch).arch in
     (match out with
     | Some path ->
       Plaid_arch.Verilog.write_file a ~path;
@@ -506,7 +487,7 @@ let rtl_cmd =
   in
   Cmd.v
     (Cmd.info "rtl" ~doc:"Emit a structural Verilog netlist of an architecture")
-    Term.(const run $ arch_arg $ out_arg)
+    Term.(const run $ arch_arg ~spatial:true $ out_arg)
 
 let faults_cmd =
   let faults_arg =
@@ -543,12 +524,7 @@ let faults_cmd =
       1
     | entry ->
       with_jobs jobs @@ fun pool ->
-      let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
-      let a =
-        match fabric_of_name ctx arch with
-        | Some a -> a
-        | None -> die_unknown ~what:"architecture" arch arch_names
-      in
+      let a = (built_of arch).arch in
       let dfg = Plaid_workloads.Suite.dfg entry in
       let k =
         Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
@@ -591,8 +567,8 @@ let faults_cmd =
          "Run a fault-injection campaign: map on the healthy fabric, break it, and measure \
           detection or repair")
     Term.(
-      const run $ kernel_arg $ arch_arg $ seed_arg $ faults_arg $ trials_arg $ repair_arg
-      $ json_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      const run $ kernel_arg $ arch_arg ~spatial:true $ seed_arg $ faults_arg $ trials_arg
+      $ repair_arg $ json_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let fuzz_cmd =
   let trials_arg =

@@ -18,12 +18,12 @@ let () =
       let entry = Suite.find name in
       let inv = float_of_int invocations in
       let plaid_e =
-        match (Plaid_exp.Ctx.map_plaid ctx entry).Plaid_core.Hier_mapper.mapping with
+        match Plaid_exp.Ctx.map ctx Plaid entry with
         | Some m -> inv *. Plaid_exp.Ctx.energy ctx m
         | None -> nan
       in
       let plaid_ml_e =
-        match (Plaid_exp.Ctx.map_plaid_ml ctx entry).Plaid_core.Hier_mapper.mapping with
+        match Plaid_exp.Ctx.map ctx Plaid_ml entry with
         | Some m -> inv *. Plaid_exp.Ctx.energy ctx m
         | None -> nan
       in

@@ -64,12 +64,6 @@ let map_candidate t (b : Space.built) dfg ~seed =
       Plaid_obs.Metrics.incr mapper_runs;
       Plaid_serve.Compile.run ?pool:t.pool mapper ~arch:b.arch ~dfg ~seed)
 
-(* Outer-scaled cycle count, as in Exp.Ctx: one iteration per II once the
-   pipeline is full, one fill per run. *)
-let run_cycles t (m : Plaid_mapping.Mapping.t) =
-  let total_iters = t.outer * m.dfg.Plaid_ir.Dfg.trip in
-  (m.ii * (total_iters - 1)) + Plaid_mapping.Mapping.makespan m
-
 let ops_of t dfg =
   max 1 (Plaid_ir.Dfg.n_compute dfg * t.outer * dfg.Plaid_ir.Dfg.trip)
 
@@ -92,7 +86,7 @@ let eval_pair t c entry =
                 ko_energy = 0.; ko_ops = 0; ko_epo = 0. }
             | Some m ->
               let spm_kb = (Space.normalize c).Space.spm_kb in
-              let cycles = run_cycles t m in
+              let cycles = Plaid_mapping.Mapping.perf_cycles ~outer:t.outer m in
               let energy =
                 Plaid_model.Tech.energy_pj
                   ~power_uw:(Plaid_model.Power.system m ~spm_kb)

@@ -1,4 +1,4 @@
-(** Shared experiment context: architectures built once, mappings cached so
+(** Shared experiment context: fabrics built once, mappings cached so
     every figure reuses the same compilation results.
 
     All mappers run with their full-strength parameters and fixed seeds, so
@@ -33,44 +33,23 @@ val outer : t -> int
 
 val pool : t -> Plaid_util.Pool.t option
 
-val prewarm : t -> unit
-(** Force every architecture lazily held by the context.  Call once before
-    sharing [t] across pool tasks: concurrent [Lazy.force] raises in
-    OCaml 5, and the memo tables are mutex-protected but the lazies are
-    not. *)
+(** {1 Fabrics} *)
 
-(** {1 Architectures} *)
-
-val st : t -> Plaid_arch.Arch.t
-(** 4x4 spatio-temporal baseline. *)
-
-val st6 : t -> Plaid_arch.Arch.t
-
-val st_ml : t -> Plaid_arch.Arch.t
-
-val plaid2 : t -> Plaid_core.Pcu.t
-
-val plaid3 : t -> Plaid_core.Pcu.t
-
-val plaid_ml : t -> Plaid_core.Pcu.t
+val fabric : t -> Plaid_core.Fabrics.fabric -> Plaid_core.Fabrics.built
+(** The context's copy of a named fabric.  {!create} builds every entry of
+    {!Plaid_core.Fabrics.all} eagerly, so pool tasks can share [t]
+    without racing to build one. *)
 
 (** {1 Mapping results (cached)} *)
 
-val map_st : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-(** Best of PathFinder and SA, as the paper selects for baselines. *)
-
-val map_st6 : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-
-val map_st_ml : t -> Plaid_workloads.Suite.entry -> Plaid_mapping.Mapping.t option
-
-val map_plaid :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
-
-val map_plaid3 :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
-
-val map_plaid_ml :
-  t -> Plaid_workloads.Suite.entry -> Plaid_core.Hier_mapper.outcome
+val map :
+  t ->
+  Plaid_core.Fabrics.fabric ->
+  Plaid_workloads.Suite.entry ->
+  Plaid_mapping.Mapping.t option
+(** The fabric's own mapper ({!Plaid_serve.Compile.for_fabric}): the
+    hierarchical mapper on the Plaid fabrics, the best of PathFinder and
+    SA on the meshes, as the paper selects for baselines. *)
 
 val map_plaid_generic :
   t ->
@@ -84,7 +63,8 @@ val spatial : t -> Plaid_workloads.Suite.entry -> (Plaid_spatial.Spatial.result,
 (** {1 Metrics} *)
 
 val cycles : t -> Plaid_mapping.Mapping.t -> int
-(** Outer-scaled execution cycles. *)
+(** Outer-scaled execution cycles: {!Plaid_mapping.Mapping.perf_cycles}
+    with the context's [outer]. *)
 
 val spatial_cycles : t -> Plaid_spatial.Spatial.result -> int
 

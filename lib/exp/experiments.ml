@@ -1,4 +1,5 @@
 open Plaid_workloads
+module Fabrics = Plaid_core.Fabrics
 
 type summary = (string * float) list
 
@@ -79,10 +80,8 @@ let power_profile mappings =
 
 let fig2 ctx =
   Ascii.heading "Figure 2: power distribution, ST baseline vs Plaid";
-  let st_maps = List.filter_map (fun e -> Ctx.map_st ctx e) Suite.table2 in
-  let plaid_maps =
-    List.filter_map (fun e -> (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping) Suite.table2
-  in
+  let st_maps = List.filter_map (fun e -> Ctx.map ctx Fabrics.St e) Suite.table2 in
+  let plaid_maps = List.filter_map (fun e -> Ctx.map ctx Fabrics.Plaid e) Suite.table2 in
   let st_split, st_power = power_profile st_maps in
   let plaid_split, plaid_power = power_profile plaid_maps in
   Ascii.table
@@ -103,13 +102,13 @@ let fig2 ctx =
 let perf_rows ctx =
   List.filter_map
     (fun e ->
-      match Ctx.map_st ctx e with
+      match Ctx.map ctx Fabrics.St e with
       | None -> None
       | Some st ->
         let stc = Ctx.cycles ctx st in
         let plaid =
           Option.map (fun m -> float_of_int stc /. float_of_int (Ctx.cycles ctx m))
-            (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping
+            (Ctx.map ctx Fabrics.Plaid e)
         in
         let sp =
           match Ctx.spatial ctx e with
@@ -158,14 +157,14 @@ let fig12 ctx =
 
 let fig13 ctx =
   Ascii.heading "Figure 13: Plaid fabric area breakdown";
-  let arch = (Ctx.plaid2 ctx).Plaid_core.Pcu.arch in
+  let arch = (Ctx.fabric ctx Fabrics.Plaid).arch in
   let r = Plaid_model.Area.fabric arch in
   Ascii.printf "%s\n" (Format.asprintf "%a" (Plaid_model.Report.pp ~unit:"um2") r);
   let total = Plaid_model.Report.total r in
   let comm =
     Plaid_model.Report.share r "comm" +. Plaid_model.Report.share r "comm_config"
   in
-  let st_total = Plaid_model.Area.fabric_total (Ctx.st ctx) in
+  let st_total = Plaid_model.Area.fabric_total (Ctx.fabric ctx Fabrics.St).arch in
   Ascii.printf "total %.0f um2 (paper: 33366); comm share %s (paper: ~40%%)\n" total
     (Ascii.pct comm);
   Ascii.printf "area vs ST baseline: %.0f/%.0f = %s saved (paper: 46%%)\n" total st_total
@@ -177,14 +176,11 @@ let fig13 ctx =
 let energy_rows ctx =
   List.filter_map
     (fun e ->
-      match Ctx.map_st ctx e with
+      match Ctx.map ctx Fabrics.St e with
       | None -> None
       | Some st ->
         let ste = Ctx.energy ctx st in
-        let plaid =
-          Option.map (fun m -> Ctx.energy ctx m /. ste)
-            (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping
-        in
+        let plaid = Option.map (fun m -> Ctx.energy ctx m /. ste) (Ctx.map ctx Fabrics.Plaid e) in
         let sp =
           match Ctx.spatial ctx e with
           | Ok r -> Some (Ctx.spatial_energy ctx r /. ste)
@@ -213,13 +209,13 @@ let fig15 ctx =
   let rows =
     List.filter_map
       (fun e ->
-        match Ctx.map_st ctx e with
+        match Ctx.map ctx Fabrics.St e with
         | None -> None
         | Some st ->
           let base = Ctx.perf_per_area ctx st in
           let plaid =
             Option.map (fun m -> Ctx.perf_per_area ctx m /. base)
-              (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping
+              (Ctx.map ctx Fabrics.Plaid e)
           in
           let sp =
             match Ctx.spatial ctx e with
@@ -245,7 +241,7 @@ let fig16 ctx =
     (fun (app : Dnn.app) ->
       let layer_metrics (l : Dnn.layer) =
         let inv = float_of_int l.invocations in
-        let plaid = (Ctx.map_plaid ctx l.entry).Plaid_core.Hier_mapper.mapping in
+        let plaid = Ctx.map ctx Fabrics.Plaid l.entry in
         let sp = Ctx.spatial ctx l.entry in
         match (plaid, sp) with
         | Some pm, Ok sr ->
@@ -260,7 +256,7 @@ let fig16 ctx =
       let sum f = List.fold_left (fun acc x -> acc +. f x) 0.0 ms in
       let pe = sum (fun (a, _, _, _) -> a) and pc = sum (fun (_, b, _, _) -> b) in
       let se = sum (fun (_, _, c, _) -> c) and sc = sum (fun (_, _, _, d) -> d) in
-      let plaid_area = Plaid_model.Area.fabric_total (Ctx.plaid2 ctx).Plaid_core.Pcu.arch in
+      let plaid_area = Plaid_model.Area.fabric_total (Ctx.fabric ctx Fabrics.Plaid).arch in
       let sp_area = Plaid_model.Area.fabric_total (Plaid_spatial.Spatial.arch ()) in
       let e_ratio = se /. pe in
       (* perf/area of spatial relative to Plaid *)
@@ -285,15 +281,14 @@ let fig17 ctx =
   let rows = ref [] and speedups = ref [] in
   List.iter
     (fun e ->
-      let o2 = Ctx.map_plaid ctx e in
-      match o2.Plaid_core.Hier_mapper.mapping with
+      match Ctx.map ctx Fabrics.Plaid e with
       | None -> ()
       | Some m2 ->
         (* the paper excludes kernels whose II is recurrence-bound: a larger
            array cannot help them *)
         let recur = Plaid_ir.Analysis.rec_mii m2.Plaid_mapping.Mapping.dfg in
         if m2.Plaid_mapping.Mapping.ii > recur then begin
-          match (Ctx.map_plaid3 ctx e).Plaid_core.Hier_mapper.mapping with
+          match Ctx.map ctx Fabrics.Plaid3 e with
           | None -> ()
           | Some m3 ->
             let s = float_of_int (Ctx.cycles ctx m2) /. float_of_int (Ctx.cycles ctx m3) in
@@ -316,7 +311,7 @@ let fig18 ctx =
   List.iter
     (fun e ->
       let t0 = Plaid_obs.Trace.Clock.now_ns () in
-      let hier = (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping in
+      let hier = Ctx.map ctx Fabrics.Plaid e in
       t_hier := !t_hier +. Plaid_obs.Trace.Clock.seconds_since t0;
       match hier with
       | None -> ()
@@ -353,7 +348,7 @@ let fig19 ctx =
   let push k v = Hashtbl.replace acc k (v :: (try Hashtbl.find acc k with Not_found -> [])) in
   List.iter
     (fun e ->
-      let plaid = (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping in
+      let plaid = Ctx.map ctx Fabrics.Plaid e in
       match plaid with
       | None -> ()
       | Some pm ->
@@ -363,9 +358,9 @@ let fig19 ctx =
           | None -> (None, None)
           | Some m -> (Some (Ctx.energy ctx m /. pe), Some (Ctx.perf_per_area ctx m /. pp))
         in
-        let st_e, st_p = rel (Ctx.map_st ctx e) in
-        let stml_e, stml_p = rel (Ctx.map_st_ml ctx e) in
-        let pml_e, pml_p = rel (Ctx.map_plaid_ml ctx e).Plaid_core.Hier_mapper.mapping in
+        let st_e, st_p = rel (Ctx.map ctx Fabrics.St e) in
+        let stml_e, stml_p = rel (Ctx.map ctx Fabrics.St_ml e) in
+        let pml_e, pml_p = rel (Ctx.map ctx Fabrics.Plaid_ml e) in
         List.iter
           (fun (k, v) -> match v with Some v -> push k v | None -> ())
           [ ("st_e", st_e); ("st_p", st_p); ("stml_e", stml_e); ("stml_p", stml_p);
@@ -405,7 +400,7 @@ let utilization ctx =
         let pick cls = match List.assoc_opt cls u with Some v -> Some v | None -> None in
         (pick, u)
       in
-      match (Ctx.map_st ctx e, (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping) with
+      match (Ctx.map ctx Fabrics.St e, Ctx.map ctx Fabrics.Plaid e) with
       | Some st, Some plaid ->
         let pick_st, _ = comm_util st and pick_pl, _ = comm_util plaid in
         let avg vals =
@@ -448,7 +443,7 @@ show up as II loss rather than being annealed away)";
           [ "gemm_u2"; "gemver_u2"; "conv2x2"; "conv3x3"; "fc"; "jacobi_u2"; "bicg_u2" ])
       Suite.table2
   in
-  let plaid = Ctx.plaid2 ctx in
+  let plaid = Option.get (Ctx.fabric ctx Fabrics.Plaid).pcu in
   let no_bypass = Plaid_core.Pcu.build ~bypass:false ~rows:2 ~cols:2 ~name:"plaid_nobypass" () in
   let quick = Plaid_core.Hier_mapper.quick in
   let strict_params = { quick with templates = Plaid_core.Templates.strict } in
@@ -570,7 +565,10 @@ let resilience ctx =
   let dfg = Suite.dfg e in
   let kernel = Plaid_ir.Unroll.apply e.Suite.base e.Suite.unroll in
   let spm = Plaid_sim.Spm.of_kernel kernel ~params:(Suite.params e) ~seed:77 in
-  let fabrics = [ ("plaid_2x2", (Ctx.plaid2 ctx).Plaid_core.Pcu.arch); ("st_4x4", Ctx.st ctx) ] in
+  let fabrics =
+    [ ("plaid_2x2", (Ctx.fabric ctx Fabrics.Plaid).arch);
+      ("st_4x4", (Ctx.fabric ctx Fabrics.St).arch) ]
+  in
   let fault_counts = [ 1; 2; 4 ] in
   let trials = 8 in
   let rows = ref [] in
@@ -667,8 +665,8 @@ let verify_entry ctx e =
       if not same then Ascii.printf "FAIL %s spatial: memory mismatch\n" (Suite.name e);
       [ ("spatial", run_ok && same) ])
   in
-  check "st" (Ctx.map_st ctx e)
-  @ check "plaid" (Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping
+  check "st" (Ctx.map ctx Fabrics.St e)
+  @ check "plaid" (Ctx.map ctx Fabrics.Plaid e)
   @ spatial_check
 
 let verify_all ctx =
@@ -711,11 +709,7 @@ let run ?pool ctx selection =
   in
   let results =
     match pool with
-    | Some p when Plaid_util.Pool.size p > 1 ->
-      (* tasks share [ctx]: its memo tables are mutex-protected, but the
-         lazily-built architectures must exist before the fan-out *)
-      Ctx.prewarm ctx;
-      Plaid_util.Pool.run p tasks
+    | Some p when Plaid_util.Pool.size p > 1 -> Plaid_util.Pool.run p tasks
     | _ -> List.map (fun f -> f ()) tasks
   in
   (* every experiment buffered its own output; replay in selection order so

@@ -72,8 +72,8 @@ val run :
     in a private buffer ({!Ascii.with_capture}) and replayed in selection
     order, so the printed report and the returned summaries are
     byte-identical whether the experiments execute sequentially or as
-    parallel pool tasks.  With [~pool], the shared context is prewarmed and
-    independent experiments race on the pool's workers. *)
+    parallel pool tasks.  With [~pool], independent experiments race on the
+    pool's workers over the shared context. *)
 
 val all : ?pool:Plaid_util.Pool.t -> Ctx.t -> (string * summary) list
 (** Run everything in paper order. *)

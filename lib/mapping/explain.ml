@@ -166,7 +166,9 @@ let phase_totals atts =
         acc at.at_phases)
     [] atts
 
-let json ?mapping ~kernel ~seed ~arch () : Obs.Json.t =
+type outcome = Mapped of Mapping.t | Segments of int | Failed
+
+let json ~outcome ~kernel ~seed ~arch () : Obs.Json.t =
   let atts = attempts () in
   let rows, cols = grid_dims arch in
   let grid_json g =
@@ -218,7 +220,7 @@ let json ?mapping ~kernel ~seed ~arch () : Obs.Json.t =
       ("fabric", Obs.Json.Obj
          [ ("rows", Obs.Json.Num (float_of_int rows));
            ("cols", Obs.Json.Num (float_of_int cols)) ]);
-      ("mapped", Obs.Json.Bool (Option.is_some mapping));
+      ("mapped", Obs.Json.Bool (outcome <> Failed));
       ("attempts", Obs.Json.Arr (List.map attempt_json atts));
       ( "phase_totals_ms",
         Obs.Json.Obj (List.map (fun (n, ms) -> (n, Obs.Json.Num ms)) (phase_totals atts))
@@ -227,9 +229,10 @@ let json ?mapping ~kernel ~seed ~arch () : Obs.Json.t =
     ]
   in
   let mapped =
-    match mapping with
-    | None -> []
-    | Some m ->
+    match outcome with
+    | Failed -> []
+    | Segments n -> [ ("segments", Obs.Json.Num (float_of_int n)) ]
+    | Mapped m ->
       [
         ("ii", Obs.Json.Num (float_of_int m.Mapping.ii));
         ("occupancy", occupancy_grid m |> grid_json);
@@ -255,13 +258,14 @@ let render_grid buf title grid =
       Buffer.add_char buf '\n')
     grid
 
-let ascii ?mapping ~kernel ~seed ~arch () =
+let ascii ~outcome ~kernel ~seed ~arch () =
   let atts = attempts () in
   let buf = Buffer.create 2048 in
   Printf.bprintf buf "mapping report: %s (seed %d)\n" kernel seed;
-  (match mapping with
-  | Some m -> Printf.bprintf buf "result: mapped at II %d\n" m.Mapping.ii
-  | None -> Buffer.add_string buf "result: FAILED\n");
+  (match outcome with
+  | Mapped m -> Printf.bprintf buf "result: mapped at II %d\n" m.Mapping.ii
+  | Segments n -> Printf.bprintf buf "result: mapped %d segments\n" n
+  | Failed -> Buffer.add_string buf "result: FAILED\n");
   Buffer.add_string buf "\nII search timeline:\n";
   if atts = [] then Buffer.add_string buf "  (no attempts recorded)\n"
   else
@@ -284,9 +288,9 @@ let ascii ?mapping ~kernel ~seed ~arch () =
   | totals ->
     Buffer.add_string buf "\nphase totals:\n";
     List.iter (fun (n, ms) -> Printf.bprintf buf "  %-10s %8.2fms\n" n ms) totals);
-  (match mapping with
-  | None -> ()
-  | Some m ->
+  (match outcome with
+  | Segments _ | Failed -> ()
+  | Mapped m ->
     Buffer.add_char buf '\n';
     render_grid buf "PE occupancy (placements + route hops per tile):" (occupancy_grid m);
     Buffer.add_string buf "\nutilization:\n";

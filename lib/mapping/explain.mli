@@ -51,8 +51,13 @@ val congestion : (int * int * int) list -> unit
 val attempts : unit -> attempt list
 (** All completed attempts, sorted by (ii, algo, start order). *)
 
+type outcome =
+  | Mapped of Mapping.t  (** one mapping (the modulo-scheduled flows) *)
+  | Segments of int  (** the spatial flow mapped every one of this many segments *)
+  | Failed
+
 val json :
-  ?mapping:Mapping.t ->
+  outcome:outcome ->
   kernel:string ->
   seed:int ->
   arch:Plaid_arch.Arch.t ->
@@ -60,11 +65,13 @@ val json :
   Plaid_obs.Json.t
 (** The report as JSON: II-search timeline (per attempt: algo, ii, mapped,
     ms, iterations, phases, overused cells), per-phase totals, a
-    channel-overuse heatmap over the fabric grid, and — when a mapping is
-    given — its II, PE-occupancy heatmap, and utilization. *)
+    channel-overuse heatmap over the fabric grid, whether the kernel
+    ["mapped"], and then — for a [Mapped] outcome — its II, PE-occupancy
+    heatmap and utilization, or — for [Segments] — the ["segments"]
+    count. *)
 
 val ascii :
-  ?mapping:Mapping.t ->
+  outcome:outcome ->
   kernel:string ->
   seed:int ->
   arch:Plaid_arch.Arch.t ->

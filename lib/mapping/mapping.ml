@@ -189,7 +189,7 @@ let validate m =
 
 let makespan m = Array.fold_left max 0 m.times + 1
 
-let perf_cycles m = (m.ii * (m.dfg.Dfg.trip - 1)) + makespan m
+let perf_cycles ?(outer = 1) m = (m.ii * ((outer * m.dfg.Dfg.trip) - 1)) + makespan m
 
 let wire_occupancy m =
   let seen = Hashtbl.create 256 in

@@ -26,9 +26,11 @@ val edge_length : t -> Plaid_ir.Dfg.edge -> int
 
 val validate : t -> (unit, string) result
 
-val perf_cycles : t -> int
-(** Total execution cycles: [ii * (trip - 1) + makespan] — one iteration
-    issued every II cycles, plus pipeline fill/drain. *)
+val perf_cycles : ?outer:int -> t -> int
+(** Total execution cycles: [ii * (outer * trip - 1) + makespan] — one
+    iteration issued every II cycles, plus one pipeline fill/drain.
+    [outer] (default 1) is the trip count of the loop nest around the
+    kernel's inner loop; the pipeline stays full across its iterations. *)
 
 val makespan : t -> int
 

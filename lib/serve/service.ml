@@ -19,31 +19,10 @@ let h_queue_depth =
     ~buckets:(Plaid_obs.Metrics.log_buckets ~start:1.0 ~factor:2.0 ~count:10)
     "serve_queue_depth"
 
-(* The same fabrics, by the same names, as `plaidc map -a`: responses must
-   be byte-identical to what the one-shot CLI writes. *)
-let arch_names = [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml" ]
-
-let build_fabric = function
-  | "st" ->
-    Some (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_4x4 ~name:"st_4x4", None)
-  | "st6" ->
-    Some (Plaid_arch.Mesh.build Plaid_arch.Mesh.spatio_temporal_6x6 ~name:"st_6x6", None)
-  | "stml" -> Some (Plaid_core.Specialize.st_ml (), None)
-  | "plaid" ->
-    let p = Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | "plaid3" ->
-    let p = Plaid_core.Pcu.build ~rows:3 ~cols:3 ~name:"plaid_3x3" () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | "plaidml" ->
-    let p = Plaid_core.Specialize.plaid_ml () in
-    Some (p.Plaid_core.Pcu.arch, Some p)
-  | _ -> None
-
 type t = {
   cache : Cache.t;
   pool : Plaid_util.Pool.t option;
-  fabrics : (string * (Plaid_arch.Arch.t * Plaid_core.Pcu.t option)) list;
+  fabrics : (string * Plaid_core.Fabrics.built) list;  (* by CLI name *)
   started : int64;  (* Clock.now_ns at create, for the health uptime *)
   slow_ms : float;
   (* always-live request/error tallies for the health line, independent of
@@ -53,9 +32,10 @@ type t = {
 }
 
 let create ?pool ?(slow_ms = 1000.0) ~cache () =
-  (* eager: pool tasks must never force a shared lazy concurrently *)
+  (* eager: pool tasks must never race to build a shared fabric *)
   let fabrics =
-    List.map (fun n -> (n, Option.get (build_fabric n))) arch_names
+    List.map (fun f -> (Plaid_core.Fabrics.name f, Plaid_core.Fabrics.build f))
+      Plaid_core.Fabrics.all
   in
   { cache; pool; fabrics; started = Plaid_obs.Trace.Clock.now_ns (); slow_ms;
     n_requests = Atomic.make 0; n_errors = Atomic.make 0 }
@@ -171,7 +151,7 @@ let prepare t req =
     | None ->
       Error
         (Printf.sprintf "unknown architecture %s (choose from %s)" name
-           (String.concat ", " arch_names))
+           (String.concat ", " Plaid_core.Fabrics.names))
   in
   let keyed ~arch ~pcu ~seed dfg =
     let mapper = Compile.for_fabric pcu in
@@ -182,17 +162,17 @@ let prepare t req =
     match Plaid_workloads.Suite.find kernel with
     | exception Not_found -> Error (Printf.sprintf "unknown kernel %s" kernel)
     | entry ->
-      let* a, pcu = fabric arch in
-      keyed ~arch:a ~pcu ~seed (Plaid_workloads.Suite.dfg entry))
+      let* b = fabric arch in
+      keyed ~arch:b.arch ~pcu:b.pcu ~seed (Plaid_workloads.Suite.dfg entry))
   | Compile { file; arch; seed; _ } -> (
     match Plaid_ir.Parse.kernel_of_file file with
     | exception Sys_error msg -> Error msg
     | Error e -> Error (Format.asprintf "%s: %a" file Plaid_ir.Parse.pp_error e)
     | Ok kernel -> (
-      let* a, pcu = fabric arch in
+      let* b = fabric arch in
       match Plaid_ir.Lower.lower kernel with
       | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" file msg)
-      | dfg -> keyed ~arch:a ~pcu ~seed (fst (Plaid_ir.Opt.optimize dfg))))
+      | dfg -> keyed ~arch:b.arch ~pcu:b.pcu ~seed (fst (Plaid_ir.Opt.optimize dfg))))
   | Case { file; _ } -> (
     match Plaid_check.Case.load ~path:file with
     | Error e -> Error (Printf.sprintf "%s: %s" file e)

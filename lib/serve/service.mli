@@ -13,7 +13,7 @@
 
     {v
     map kernel=<name> arch=<st|st6|stml|plaid|plaid3|plaidml> [seed=<n>] [deadline-ms=<n>]
-    compile file=<kernel.k> [arch=<plaid|st>] [seed=<n>] [deadline-ms=<n>]
+    compile file=<kernel.k> [arch=<st|st6|stml|plaid|plaid3|plaidml>] [seed=<n>] [deadline-ms=<n>]
     case file=<corpus.case> [deadline-ms=<n>]
     stats
     metrics
@@ -51,8 +51,10 @@
 type t
 
 val create : ?pool:Plaid_util.Pool.t -> ?slow_ms:float -> cache:Cache.t -> unit -> t
-(** Builds the named fabrics eagerly (so pool tasks never race a lazy) and
-    keeps [pool] for {!run_batch}.  [slow_ms] (default 1000) is the
+(** Builds every fabric of {!Plaid_core.Fabrics.all} eagerly, once (so pool
+    tasks never race to build one), and keeps [pool] for {!run_batch}.
+    [arch=] takes the table's names ({!Plaid_core.Fabrics.names}); [map]
+    and [compile] default to [plaid].  [slow_ms] (default 1000) is the
     slow-request log threshold. *)
 
 val cache : t -> Cache.t
@@ -87,10 +89,3 @@ val run_batch : t -> request list -> response list
 
 val write_response : out_channel -> response -> unit
 (** Emit the wire framing described above (flushes). *)
-
-val arch_names : string list
-(** Fabric names [map] accepts — the same set [plaidc map -a] resolves. *)
-
-val build_fabric : string -> (Plaid_arch.Arch.t * Plaid_core.Pcu.t option) option
-(** A fresh copy of the fabric {!create} builds for a name in {!arch_names}
-    (with its PCU view for the Plaid fabrics); [None] for any other name. *)

@@ -113,8 +113,8 @@ let check_golden_digests pool =
   let ctx = Plaid_exp.Ctx.create ~pool () in
   List.iter
     (fun (kernel, want) ->
-      expect "map_st" kernel want
-        (blob_md5 (Plaid_exp.Ctx.map_st ctx (Plaid_workloads.Suite.find kernel))))
+      expect "Ctx.map st" kernel want
+        (blob_md5 (Plaid_exp.Ctx.map ctx St (Plaid_workloads.Suite.find kernel))))
     golden_map_st
 
 (* --------------------------------------------------- experiment identity *)
@@ -170,8 +170,8 @@ let check_cache_invariance pool =
     List.map
       (fun kernel ->
         let e = Plaid_workloads.Suite.find kernel in
-        [ blob (Plaid_exp.Ctx.map_st ctx e);
-          blob (Plaid_exp.Ctx.map_plaid ctx e).Plaid_core.Hier_mapper.mapping;
+        [ blob (Plaid_exp.Ctx.map ctx St e);
+          blob (Plaid_exp.Ctx.map ctx Plaid e);
           blob (Plaid_exp.Ctx.map_plaid_generic ctx `Pf e) ])
       kernels
   in

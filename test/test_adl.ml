@@ -56,6 +56,29 @@ let test_fabric_construction () =
     | Some pcu -> check Alcotest.int "8 FUs" 8 (Plaid_core.Pcu.n_fus pcu)
     | None -> Alcotest.fail "expected pcu descriptor")
 
+(* The named-fabric table: CLI names round-trip, and every fabric is found
+   again by the name its built architecture carries (what a mapfile
+   records), so `plaidc run` resolves every fabric `plaidc map` saves. *)
+let test_fabric_table () =
+  let module F = Plaid_core.Fabrics in
+  check Alcotest.(list string) "table order"
+    [ "st"; "st6"; "stml"; "plaid"; "plaid3"; "plaidml" ] F.names;
+  List.iter
+    (fun f ->
+      check Alcotest.bool (F.name f ^ ": of_name") true (F.of_name (F.name f) = Some f);
+      let b = F.build f in
+      let aname = b.arch.Plaid_arch.Arch.name in
+      match F.of_arch_name aname with
+      | None -> Alcotest.failf "%s: %s does not resolve" (F.name f) aname
+      | Some b' ->
+        check Alcotest.string (F.name f ^ ": of_arch_name") aname
+          b'.arch.Plaid_arch.Arch.name;
+        check Alcotest.bool (F.name f ^ ": same pcu view") (Option.is_some b.pcu)
+          (Option.is_some b'.pcu))
+    F.all;
+  check Alcotest.bool "unknown name" true (F.of_name "nosuch" = None);
+  check Alcotest.bool "unknown arch name" true (F.of_arch_name "nosuch" = None)
+
 let test_example_files_build () =
   let dir = "../../../examples/archs" in
   let dir = if Sys.file_exists dir then dir else "examples/archs" in
@@ -96,6 +119,7 @@ let suites =
         Alcotest.test_case "missing family" `Quick test_missing_family_rejected;
         Alcotest.test_case "bad value" `Quick test_bad_value_rejected;
         Alcotest.test_case "fabric construction" `Quick test_fabric_construction;
+        Alcotest.test_case "fabric table" `Quick test_fabric_table;
         Alcotest.test_case "example files" `Quick test_example_files_build;
         Alcotest.test_case "custom fabric maps" `Slow test_custom_fabric_maps;
       ] );

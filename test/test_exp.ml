@@ -20,13 +20,13 @@ let entry = lazy (Plaid_workloads.Suite.find "dwconv")
 
 let test_ctx_caches () =
   let c = Lazy.force ctx and e = Lazy.force entry in
-  let a = Plaid_exp.Ctx.map_st c e and b = Plaid_exp.Ctx.map_st c e in
+  let a = Plaid_exp.Ctx.map c St e and b = Plaid_exp.Ctx.map c St e in
   (* same cached object, not merely equal *)
   check Alcotest.bool "physically cached" true (a == b)
 
 let test_ctx_outer_scaling () =
   let c = Lazy.force ctx and e = Lazy.force entry in
-  match Plaid_exp.Ctx.map_st c e with
+  match Plaid_exp.Ctx.map c St e with
   | None -> Alcotest.fail "dwconv should map"
   | Some m ->
     let cycles = Plaid_exp.Ctx.cycles c m in
@@ -40,10 +40,9 @@ let test_ctx_outer_scaling () =
 
 let test_ctx_archs_distinct () =
   let c = Lazy.force ctx in
-  check Alcotest.bool "plaid3 bigger" true
-    (Plaid_core.Pcu.n_fus (Plaid_exp.Ctx.plaid3 c) > Plaid_core.Pcu.n_fus (Plaid_exp.Ctx.plaid2 c));
-  check Alcotest.int "st6 has 36 FUs" 36
-    (Array.length (Plaid_exp.Ctx.st6 c).Plaid_arch.Arch.fus)
+  let n_fus f = Array.length (Plaid_exp.Ctx.fabric c f).arch.Plaid_arch.Arch.fus in
+  check Alcotest.bool "plaid3 bigger" true (n_fus Plaid3 > n_fus Plaid);
+  check Alcotest.int "st6 has 36 FUs" 36 (n_fus St6)
 
 let test_paper_table2_complete () =
   (* the printed paper reference covers the whole suite *)

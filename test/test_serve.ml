@@ -78,9 +78,8 @@ let test_key_pinned_across_processes () =
    renamed configuration would silently orphan every key cached under it. *)
 let test_mapper_keys_pinned () =
   let module C = Plaid_serve.Compile in
-  let arch, _ = Option.get (Service.build_fabric "st") in
-  let _, pcu = Option.get (Service.build_fabric "plaid") in
-  let plaid = Option.get pcu in
+  let arch = (Plaid_core.Fabrics.build St).arch in
+  let plaid = Option.get (Plaid_core.Fabrics.build Plaid).pcu in
   let dfg = Plaid_workloads.Suite.dfg (Plaid_workloads.Suite.find "dwconv") in
   let pins =
     [ (C.Hier (plaid, Default), "f22a15b877c175d8a80344dadec34f25");
@@ -142,18 +141,18 @@ let lines_digest a = F.digest_hex (String.concat "\n" (Plaid_arch.Arch.fingerpri
    any key, before or after the cache fills. *)
 let test_arch_digest_matches_lines () =
   List.iter
-    (fun name ->
-      let a, _ = Option.get (Service.build_fabric name) in
+    (fun f ->
+      let a = (Plaid_core.Fabrics.build f).arch and name = Plaid_core.Fabrics.name f in
       let want = lines_digest a in
       check (name ^ ": first use") (F.arch a = want) true;
       check (name ^ ": cached") (F.arch a = want) true)
-    Service.arch_names
+    Plaid_core.Fabrics.all
 
 (* Every derived value re-describes itself: a copy with another config
    depth or fault set must not inherit its parent's cached digest. *)
 let test_arch_digest_invalidated () =
   let module A = Plaid_arch.Arch in
-  let a, _ = Option.get (Service.build_fabric "st") in
+  let a = (Plaid_core.Fabrics.build St).arch in
   let parent = F.arch a in
   let deeper = A.set_config a { a.A.config with A.entries = a.A.config.A.entries + 1 } in
   check "set_config: own lines" (F.arch deeper = lines_digest deeper) true;
@@ -164,7 +163,7 @@ let test_arch_digest_invalidated () =
   check "parent unchanged" (F.arch a = lines_digest a) true
 
 let test_arch_digest_racing_domains () =
-  let a, _ = Option.get (Service.build_fabric "plaid") in
+  let a = (Plaid_core.Fabrics.build Plaid).arch in
   let digests =
     List.init 4 (fun _ -> Domain.spawn (fun () -> F.arch a)) |> List.map Domain.join
   in
@@ -372,7 +371,7 @@ let test_ctx_and_service_share_keys () =
   let dir = temp_dir () in
   let ctx = Plaid_exp.Ctx.create ~cache:(Cache.create ~dir ()) () in
   let m =
-    match Plaid_exp.Ctx.map_st ctx (Plaid_workloads.Suite.find "dwconv") with
+    match Plaid_exp.Ctx.map ctx St (Plaid_workloads.Suite.find "dwconv") with
     | Some m -> m
     | None -> Alcotest.fail "dwconv does not map on st"
   in

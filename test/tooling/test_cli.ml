@@ -27,10 +27,18 @@
      reports at -j 1 and -j 4, valid JSON with --json -), and reject bad
      space/suite/strategy names, malformed budgets, conflicting strategy
      flags, and unreadable space files with one stderr line and exit 2;
-   - unknown subcommands, unknown flags, and out-of-range argument values
-     (negative counts, -j 0) must exit 2 with a diagnostic on stderr. *)
+   - `plaidc map -a @FILE.adl` must take the named-fabric path (saved
+     mapfile, --viz, bit-exact simulation line), and `plaidc run` on that
+     file must reject the fabric it cannot resolve with exit 2;
+   - `plaidc map -a spatial --report` must say how many segments mapped;
+   - unknown subcommands, unknown flags, unknown `-a` names (map, compile,
+     rtl, faults: choices on stderr, nothing on stdout), and out-of-range
+     argument values (negative counts, -j 0) must exit 2 with a diagnostic
+     on stderr. *)
 
 let plaidc = Sys.argv.(1)
+
+let adl_file = Sys.argv.(2)
 
 let failures = ref 0
 
@@ -421,6 +429,46 @@ let () =
   if not (contains ~needle:"port-bound=" (read_file "jrep.txt")) then
     fail "ASCII report does not show the port-bound skip"
 
+(* a spatial run maps several segments, each its own II search: the
+   report's result line and JSON say how many mapped *)
+let () =
+  let rc = sh "%s map -k gemm_u4 -a spatial -j 1 --report sp.txt > sp.out 2> /dev/null" plaidc in
+  if rc <> 0 then fail "map -a spatial --report exited %d" rc;
+  if not (contains ~needle:"7 segments" (read_file "sp.out")) then
+    fail "gemm_u4 no longer maps in 7 spatial segments: %S" (read_file "sp.out");
+  if not (contains ~needle:"result: mapped 7 segments\n" (read_file "sp.txt")) then
+    fail "spatial ASCII report does not state the mapped segments";
+  let rc = sh "%s map -k gemm_u4 -a spatial --report sp.json > /dev/null 2> /dev/null" plaidc in
+  if rc <> 0 then fail "map -a spatial --report sp.json exited %d" rc;
+  let open Plaid_obs.Json in
+  match of_string (String.trim (read_file "sp.json")) with
+  | Error e -> fail "spatial JSON report does not parse: %s" e
+  | Ok doc ->
+    if member "mapped" doc <> Some (Bool true) then fail "spatial JSON report says unmapped";
+    if member "segments" doc <> Some (Num 7.0) then fail "spatial JSON report lacks segments 7"
+
+(* --- architectures from ADL files ------------------------------------- *)
+
+let () =
+  let rc =
+    sh "%s map -k atax_u2 -a @%s -o adl.map --viz > adl.out 2> adl.err" plaidc adl_file
+  in
+  if rc <> 0 then fail "map -a @%s exited %d" adl_file rc;
+  let out = read_file "adl.out" in
+  List.iter
+    (fun needle -> if not (contains ~needle out) then fail "ADL map output lacks %S" needle)
+    [ "atax_u2 on plaid_4x2"; "bit-exact vs reference"; "slot 0/"; "saved adl.map" ];
+  if not (Sys.file_exists "adl.map") then fail "map -a @FILE -o wrote no mapfile";
+  (* the saved file names a fabric no table entry builds *)
+  let rc = sh "%s run -f adl.map > adlrun.out 2> adlrun.err" plaidc in
+  if rc <> 2 then fail "run on an ADL-fabric mapfile: expected exit 2, got %d" rc;
+  if not (contains ~needle:"unknown architecture plaid_4x2" (read_file "adlrun.err")) then
+    fail "run on an ADL-fabric mapfile: stderr %S" (read_file "adlrun.err");
+  let rc = sh "%s map -k atax_u2 -a @nonexistent.adl > adlno.out 2> adlno.err" plaidc in
+  if rc <> 2 then fail "map -a @nonexistent.adl: expected exit 2, got %d" rc;
+  if not (contains ~needle:"nonexistent.adl" (read_file "adlno.err")) then
+    fail "map -a @nonexistent.adl does not name the file on stderr"
+
 (* --- design-space exploration ------------------------------------------ *)
 
 (* one diagnostic line on stderr, clean stdout, exit 2 *)
@@ -471,10 +519,24 @@ let () =
 let () =
   let rc = sh "%s frobnicate > sub.out 2> sub.err" plaidc in
   if rc <> 2 then fail "unknown subcommand: expected exit 2, got %d" rc;
-  let rc = sh "%s map -k gemm_u2 -a nosuch > arch.out 2> arch.err" plaidc in
-  if rc <> 2 then fail "unknown architecture: expected exit 2, got %d" rc;
-  if not (contains ~needle:"plaid" (read_file "arch.err")) then
-    fail "unknown-architecture error does not list the valid choices";
+  (* -a resolves before any work: nothing reaches stdout *)
+  let oc = open_out "inc.plc" in
+  output_string oc "kernel inc trip 8 { y[i] = x[i] + 1; }\n";
+  close_out oc;
+  List.iter
+    (fun (sub, args) ->
+      let rc = sh "%s %s %s -a nosuch > arch.out 2> arch.err" plaidc sub args in
+      if rc <> 2 then fail "%s: unknown architecture: expected exit 2, got %d" sub rc;
+      if not (contains ~needle:"plaid3" (read_file "arch.err")) then
+        fail "%s: unknown-architecture error does not list the valid choices" sub;
+      if read_file "arch.out" <> "" then
+        fail "%s: unknown architecture printed on stdout: %S" sub (read_file "arch.out"))
+    [ ("map", "-k gemm_u2"); ("compile", "-f inc.plc"); ("rtl", ""); ("faults", "-k gemm_u2") ];
+  (* compile takes every table name, as map and serve do *)
+  let rc = sh "%s compile -f inc.plc -a st6 > st6.out 2> st6.err" plaidc in
+  if rc <> 0 then fail "compile -a st6: expected exit 0, got %d" rc;
+  if not (contains ~needle:"inc on st_6x6" (read_file "st6.out")) then
+    fail "compile -a st6 did not map on st_6x6";
   (* bad argument values: stderr diagnostic + exit 2, uniformly *)
   let rc = sh "%s fuzz --frobnicate > badflag.out 2> badflag.err" plaidc in
   if rc <> 2 then fail "unknown fuzz flag: expected exit 2, got %d" rc;
