@@ -163,15 +163,27 @@ let with_obs ~trace ~metrics f =
   in
   Fun.protect ~finally:finish f
 
-let report_mapping ctx name (m : Plaid_mapping.Mapping.t) =
+(* one-shot commands price at the experiments' outer trip count *)
+let outer = Plaid_model.Energy.default_outer
+
+let report_mapping name (m : Plaid_mapping.Mapping.t) =
   Printf.printf "%s on %s: II=%d, cycles=%d (outer-scaled %d)\n" name
     m.arch.Plaid_arch.Arch.name m.ii
     (Plaid_mapping.Mapping.perf_cycles m)
-    (Plaid_exp.Ctx.cycles ctx m);
+    Plaid_model.Energy.(cycles ~outer (Modulo m));
   Printf.printf "fabric power %.1f uW, energy %.1f pJ, area %.0f um2\n"
     (Plaid_model.Power.fabric_total m)
-    (Plaid_exp.Ctx.energy ctx m)
+    Plaid_model.Energy.(energy ~outer (Modulo m))
     (Plaid_model.Area.fabric_total m.arch)
+
+(* One bound on simulated work, checked before any scratchpad, reference
+   or simulator array exists: past it, one stderr line and exit 1. *)
+let within_sim_bound g simulate =
+  match Plaid_sim.Cycle_sim.check_work g with
+  | Error msg ->
+    Printf.eprintf "plaidc: %s\n" msg;
+    1
+  | Ok () -> simulate ()
 
 (* The post-mapping diagnostic behind `plaidc map --report`: II-search
    timeline, per-phase time breakdown, and congestion/occupancy heatmaps.
@@ -228,21 +240,21 @@ let map_cmd =
       1
     | entry ->
       with_jobs jobs @@ fun pool ->
-      let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
       match arch with
       | Spatial -> (
         let sp_arch = Plaid_spatial.Spatial.arch () in
-        match Plaid_exp.Ctx.spatial ctx entry with
+        match Plaid_spatial.Spatial.run ~seed (Plaid_workloads.Suite.dfg entry) with
         | Error e ->
           maybe_report ~outcome:Failed sp_arch;
           Printf.eprintf "spatial mapping failed: %s\n" e;
           1
         | Ok r ->
           maybe_report ~outcome:(Segments (List.length r.mappings)) sp_arch;
+          let run = Plaid_model.Energy.Segments r.mappings in
           Printf.printf "%s on spatial 4x4: %d segments, cycles=%d, energy=%.1f pJ\n" kernel
             (List.length r.mappings)
-            (Plaid_exp.Ctx.spatial_cycles ctx r)
-            (Plaid_exp.Ctx.spatial_energy ctx r);
+            (Plaid_model.Energy.cycles ~outer run)
+            (Plaid_model.Energy.energy ~outer run);
           0)
       | Named _ | Adl _ -> (
         let built = built_of arch in
@@ -255,7 +267,7 @@ let map_cmd =
           Printf.eprintf "mapper found no valid mapping\n";
           1
         | Some m ->
-          report_mapping ctx kernel m;
+          report_mapping kernel m;
           (* verify against the golden reference while we're here *)
           let k =
             Plaid_ir.Unroll.apply entry.Plaid_workloads.Suite.base
@@ -325,6 +337,7 @@ let run_cmd =
       let g = m.Plaid_mapping.Mapping.dfg in
       Printf.printf "loaded %s on %s: II=%d\n" g.Plaid_ir.Dfg.name
         m.arch.Plaid_arch.Arch.name m.ii;
+      within_sim_bound g @@ fun () ->
       (* run against deterministic data like the kernel flow would *)
       let spm = Plaid_sim.Spm.create () in
       let rng = Plaid_util.Rng.create 77 in
@@ -435,13 +448,13 @@ let compile_cmd =
         let dfg, opt_stats = Plaid_ir.Opt.optimize dfg in
         Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
         with_jobs jobs @@ fun pool ->
-        let ctx = Plaid_exp.Ctx.create ~seed ~pool () in
         match map_on ~pool (built_of arch) ~dfg ~seed with
         | None ->
           Printf.eprintf "mapper found no valid mapping\n";
           1
         | Some m ->
-          report_mapping ctx kernel.Plaid_ir.Kernel.name m;
+          report_mapping kernel.Plaid_ir.Kernel.name m;
+          within_sim_bound m.dfg @@ fun () ->
           (* unspecified live-ins default to 3 so verification always runs *)
           let params =
             List.map

@@ -11,6 +11,7 @@ let layers =
 
 let () =
   let ctx = Plaid_exp.Ctx.create ~seed:11 () in
+  let outer = Plaid_exp.Ctx.outer ctx in
   Printf.printf "%-10s %-12s %-12s %-12s\n" "layer" "plaid pJ" "plaid-ml pJ" "spatial pJ";
   let totals = Array.make 3 0.0 in
   List.iter
@@ -19,17 +20,17 @@ let () =
       let inv = float_of_int invocations in
       let plaid_e =
         match Plaid_exp.Ctx.map ctx Plaid entry with
-        | Some m -> inv *. Plaid_exp.Ctx.energy ctx m
+        | Some m -> inv *. Plaid_model.Energy.(energy ~outer (Modulo m))
         | None -> nan
       in
       let plaid_ml_e =
         match Plaid_exp.Ctx.map ctx Plaid_ml entry with
-        | Some m -> inv *. Plaid_exp.Ctx.energy ctx m
+        | Some m -> inv *. Plaid_model.Energy.(energy ~outer (Modulo m))
         | None -> nan
       in
       let spatial_e =
         match Plaid_exp.Ctx.spatial ctx entry with
-        | Ok r -> inv *. Plaid_exp.Ctx.spatial_energy ctx r
+        | Ok r -> inv *. Plaid_model.Energy.(energy ~outer (Segments r.mappings))
         | Error _ -> nan
       in
       totals.(0) <- totals.(0) +. plaid_e;

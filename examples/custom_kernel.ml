@@ -40,9 +40,9 @@ let () =
   let plaid = Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" () in
   (match (Plaid_core.Hier_mapper.map ~plaid ~seed:3 dfg).Plaid_core.Hier_mapper.mapping with
   | Some m ->
-    Printf.printf "Plaid:          II=%d  %4d cycles  %.1f uW\n" m.Plaid_mapping.Mapping.ii
+    Printf.printf "Plaid:          II=%d  %4d cycles  %.1f pJ\n" m.Plaid_mapping.Mapping.ii
       (Plaid_mapping.Mapping.perf_cycles m)
-      (Plaid_model.Power.fabric_total m)
+      (Plaid_model.Energy.fabric_energy m)
   | None -> print_endline "Plaid: mapping failed");
 
   (* Spatio-temporal baseline, best of PathFinder and simulated annealing. *)
@@ -56,14 +56,17 @@ let () =
        .Plaid_mapping.Driver.mapping
    with
   | Some m ->
-    Printf.printf "Spatio-temporal: II=%d  %4d cycles  %.1f uW\n" m.Plaid_mapping.Mapping.ii
+    Printf.printf "Spatio-temporal: II=%d  %4d cycles  %.1f pJ\n" m.Plaid_mapping.Mapping.ii
       (Plaid_mapping.Mapping.perf_cycles m)
-      (Plaid_model.Power.fabric_total m)
+      (Plaid_model.Energy.fabric_energy m)
   | None -> print_endline "ST: mapping failed");
 
   (* Spatial baseline with automatic partitioning. *)
   match Plaid_spatial.Spatial.run ~seed:3 dfg with
   | Ok r ->
-    Printf.printf "Spatial:        %d segment(s)  %4d cycles  %.1f uW avg\n"
-      (List.length r.mappings) r.cycles r.avg_power_uw
+    let run = Plaid_model.Energy.Segments r.mappings in
+    Printf.printf "Spatial:        %d segment(s)  %4d cycles  %.1f pJ\n"
+      (List.length r.mappings)
+      (Plaid_model.Energy.cycles ~outer:1 run)
+      (Plaid_model.Energy.energy ~outer:1 run)
   | Error msg -> Printf.printf "Spatial: %s\n" msg

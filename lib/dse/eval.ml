@@ -25,7 +25,8 @@ and kernel_outcome = {
   ko_epo : float;
 }
 
-let create ?(seed = 2025) ?(outer = 16) ?(quick = false) ?pool ?cache () =
+let create ?(seed = 2025) ?(outer = Plaid_model.Energy.default_outer) ?(quick = false) ?pool
+    ?cache () =
   { seed; outer; quick; pool; cache;
     built = Plaid_util.Memo.create 32; dfgs = Plaid_util.Memo.create 32;
     outcomes = Plaid_util.Memo.create 256 }
@@ -86,7 +87,8 @@ let eval_pair t c entry =
                 ko_energy = 0.; ko_ops = 0; ko_epo = 0. }
             | Some m ->
               let spm_kb = (Space.normalize c).Space.spm_kb in
-              let cycles = Plaid_mapping.Mapping.perf_cycles ~outer:t.outer m in
+              (* system energy: the fabric's cycles at the SPM-inclusive power *)
+              let cycles = Plaid_model.Energy.(cycles ~outer:t.outer (Modulo m)) in
               let energy =
                 Plaid_model.Tech.energy_pj
                   ~power_uw:(Plaid_model.Power.system m ~spm_kb)

@@ -28,8 +28,8 @@ val create :
   unit ->
   t
 (** [seed] defaults to 2025; [outer] (outer-loop trip count for the energy
-    model) to 16; [quick] selects the reduced-effort mapper parameter sets
-    (CI-sized campaigns). *)
+    model) to {!Plaid_model.Energy.default_outer}; [quick] selects the
+    reduced-effort mapper parameter sets (CI-sized campaigns). *)
 
 val suites : (string * Plaid_workloads.Suite.entry list) list
 (** ["paper"] (the 30-DFG Table 2 suite), ["quick"] (3 kernels, CI-sized),

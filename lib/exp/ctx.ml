@@ -11,7 +11,7 @@ type t = {
 }
 
 (* Eager, so pool tasks sharing a context never race to build a fabric. *)
-let create ?(seed = 2025) ?(outer = 16) ?pool ?cache () =
+let create ?(seed = 2025) ?(outer = Plaid_model.Energy.default_outer) ?pool ?cache () =
   {
     seed;
     outer_trips = outer;
@@ -48,57 +48,3 @@ let map_plaid_generic t algo entry =
 let spatial t entry =
   memo t.spatials ("spatial/" ^ Suite.name entry) (fun () ->
       Plaid_spatial.Spatial.run ~seed:t.seed (Suite.dfg entry))
-
-(* Outer-scaled cycle count: the modulo kernel admits one iteration per II,
-   the pipeline fills once per invocation of the whole loop nest. *)
-let cycles t m = Plaid_mapping.Mapping.perf_cycles ~outer:t.outer_trips m
-
-(* The partitioner's spill buffers cover one inner-loop pass (buf_len is
-   trip-sized), so a multi-segment kernel alternates its segments — and
-   reloads configurations — once per outer iteration.  A single-segment
-   kernel keeps its configuration for the whole run and only pays the
-   pipeline refill per outer iteration. *)
-let spatial_cycles t (r : Plaid_spatial.Spatial.result) =
-  match r.mappings with
-  | [ m ] ->
-    (* one frozen configuration streams the whole iteration space *)
-    cycles t m + Plaid_spatial.Spatial.reconfig_cycles
-  | ms ->
-    t.outer_trips
-    * List.fold_left
-        (fun acc (m : Plaid_mapping.Mapping.t) ->
-          acc + Plaid_mapping.Mapping.perf_cycles m + Plaid_spatial.Spatial.reconfig_cycles)
-        0 ms
-
-let energy t m =
-  Plaid_model.Tech.energy_pj ~power_uw:(Plaid_model.Power.fabric_total m) ~cycles:(cycles t m)
-
-let spatial_energy t (r : Plaid_spatial.Spatial.result) =
-  match r.mappings with
-  | [ m ] ->
-    Plaid_model.Tech.energy_pj
-      ~power_uw:(Plaid_model.Power.fabric_total m)
-      ~cycles:(spatial_cycles t r)
-  | ms ->
-    float_of_int t.outer_trips
-    *. List.fold_left
-         (fun acc (m : Plaid_mapping.Mapping.t) ->
-           let c =
-             Plaid_mapping.Mapping.perf_cycles m + Plaid_spatial.Spatial.reconfig_cycles
-           in
-           acc
-           +. Plaid_model.Tech.energy_pj ~power_uw:(Plaid_model.Power.fabric_total m) ~cycles:c)
-         0.0 ms
-
-let perf_per_area t (m : Plaid_mapping.Mapping.t) =
-  let iters = float_of_int (t.outer_trips * m.dfg.Plaid_ir.Dfg.trip) in
-  let seconds = float_of_int (cycles t m) *. Plaid_model.Tech.cycle_ns *. 1e-9 in
-  iters /. seconds /. (Plaid_model.Area.fabric_total m.arch /. 1e6)
-
-let spatial_perf_per_area t (r : Plaid_spatial.Spatial.result) =
-  match r.mappings with
-  | [] -> 0.0
-  | m :: _ ->
-    let iters = float_of_int (t.outer_trips * m.dfg.Plaid_ir.Dfg.trip) in
-    let seconds = float_of_int (spatial_cycles t r) *. Plaid_model.Tech.cycle_ns *. 1e-9 in
-    iters /. seconds /. (Plaid_model.Area.fabric_total m.arch /. 1e6)

@@ -2,11 +2,9 @@
     every figure reuses the same compilation results.
 
     All mappers run with their full-strength parameters and fixed seeds, so
-    an experiment run is deterministic end to end.  [outer] models the
-    outer-loop trip count multiplying each kernel's inner loop: reported
-    cycle counts are [II * (outer * trip - 1) + makespan] (pipeline fill
-    amortized over a realistic invocation, as in the paper's
-    "II x total loop iterations" accounting). *)
+    an experiment run is deterministic end to end.  The figures price the
+    cached mappings with {!Plaid_model.Energy} at the context's {!outer}
+    trip count (default {!Plaid_model.Energy.default_outer}). *)
 
 type t
 
@@ -59,20 +57,3 @@ val map_plaid_generic :
 (** Generic mappers driving the Plaid fabric (Figure 18). *)
 
 val spatial : t -> Plaid_workloads.Suite.entry -> (Plaid_spatial.Spatial.result, string) result
-
-(** {1 Metrics} *)
-
-val cycles : t -> Plaid_mapping.Mapping.t -> int
-(** Outer-scaled execution cycles: {!Plaid_mapping.Mapping.perf_cycles}
-    with the context's [outer]. *)
-
-val spatial_cycles : t -> Plaid_spatial.Spatial.result -> int
-
-val energy : t -> Plaid_mapping.Mapping.t -> float
-(** Outer-scaled fabric energy (pJ). *)
-
-val spatial_energy : t -> Plaid_spatial.Spatial.result -> float
-
-val perf_per_area : t -> Plaid_mapping.Mapping.t -> float
-
-val spatial_perf_per_area : t -> Plaid_spatial.Spatial.result -> float

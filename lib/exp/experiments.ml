@@ -1,5 +1,6 @@
 open Plaid_workloads
 module Fabrics = Plaid_core.Fabrics
+module Energy = Plaid_model.Energy
 
 type summary = (string * float) list
 
@@ -98,24 +99,25 @@ let fig2 ctx =
   Ascii.printf "ST configuration share of power: %s (paper: 48%%)\n" (Ascii.pct cfg_share);
   [ ("plaid_power_reduction", reduction); ("st_config_share", cfg_share) ]
 
-(* Per-kernel relative performance (baseline cycles / arch cycles). *)
-let perf_rows ctx =
+(* Per kernel with an ST mapping: its ST price, and Plaid's and spatial's
+   prices against it ([vs st x]). *)
+let vs_st_rows ctx price vs =
+  let outer = Ctx.outer ctx in
   List.filter_map
     (fun e ->
       match Ctx.map ctx Fabrics.St e with
       | None -> None
       | Some st ->
-        let stc = Ctx.cycles ctx st in
+        let base = price ~outer (Energy.Modulo st) in
         let plaid =
-          Option.map (fun m -> float_of_int stc /. float_of_int (Ctx.cycles ctx m))
-            (Ctx.map ctx Fabrics.Plaid e)
+          Option.map (fun m -> vs base (price ~outer (Modulo m))) (Ctx.map ctx Fabrics.Plaid e)
         in
         let sp =
           match Ctx.spatial ctx e with
-          | Ok r -> Some (float_of_int stc /. float_of_int (Ctx.spatial_cycles ctx r))
+          | Ok r -> Some (vs base (price ~outer (Segments r.mappings)))
           | Error _ -> None
         in
-        Some (e, stc, plaid, sp))
+        Some (e, base, plaid, sp))
     Suite.table2
 
 let opt_str = function Some v -> Ascii.f2 v | None -> "-"
@@ -133,12 +135,14 @@ let by_domain rows f =
 
 let fig12 ctx =
   Ascii.heading "Figure 12: performance normalized to the spatio-temporal CGRA";
-  let rows = perf_rows ctx in
+  (* speedup over ST: ST cycles / cycles *)
+  let cycles ~outer run = float_of_int (Energy.cycles ~outer run) in
+  let rows = vs_st_rows ctx cycles (fun st c -> st /. c) in
   Ascii.table
     ~headers:[ "kernel"; "ST cycles"; "Plaid"; "Spatial" ]
     (List.map
        (fun (e, stc, plaid, sp) ->
-         [ Suite.name e; string_of_int stc; opt_str plaid; opt_str sp ])
+         [ Suite.name e; Printf.sprintf "%.0f" stc; opt_str plaid; opt_str sp ])
        rows);
   let plaids = List.filter_map (fun (_, _, p, _) -> p) rows in
   let spatials = List.filter_map (fun (_, _, _, s) -> s) rows in
@@ -173,25 +177,9 @@ let fig13 ctx =
   [ ("plaid_fabric_area", total); ("comm_share", comm);
     ("area_saving_vs_st", 1.0 -. (total /. st_total)) ]
 
-let energy_rows ctx =
-  List.filter_map
-    (fun e ->
-      match Ctx.map ctx Fabrics.St e with
-      | None -> None
-      | Some st ->
-        let ste = Ctx.energy ctx st in
-        let plaid = Option.map (fun m -> Ctx.energy ctx m /. ste) (Ctx.map ctx Fabrics.Plaid e) in
-        let sp =
-          match Ctx.spatial ctx e with
-          | Ok r -> Some (Ctx.spatial_energy ctx r /. ste)
-          | Error _ -> None
-        in
-        Some (e, ste, plaid, sp))
-    Suite.table2
-
 let fig14 ctx =
   Ascii.heading "Figure 14: fabric energy normalized to the spatio-temporal CGRA";
-  let rows = energy_rows ctx in
+  let rows = vs_st_rows ctx Energy.energy (fun st x -> x /. st) in
   Ascii.table
     ~headers:[ "kernel"; "ST pJ"; "Plaid"; "Spatial" ]
     (List.map
@@ -206,34 +194,17 @@ let fig14 ctx =
 
 let fig15 ctx =
   Ascii.heading "Figure 15: performance per area normalized to the spatio-temporal CGRA";
-  let rows =
-    List.filter_map
-      (fun e ->
-        match Ctx.map ctx Fabrics.St e with
-        | None -> None
-        | Some st ->
-          let base = Ctx.perf_per_area ctx st in
-          let plaid =
-            Option.map (fun m -> Ctx.perf_per_area ctx m /. base)
-              (Ctx.map ctx Fabrics.Plaid e)
-          in
-          let sp =
-            match Ctx.spatial ctx e with
-            | Ok r -> Some (Ctx.spatial_perf_per_area ctx r /. base)
-            | Error _ -> None
-          in
-          Some (e, plaid, sp))
-      Suite.table2
-  in
+  let rows = vs_st_rows ctx Energy.perf_per_area (fun st x -> x /. st) in
   Ascii.table
     ~headers:[ "kernel"; "Plaid"; "Spatial" ]
-    (List.map (fun (e, p, s) -> [ Suite.name e; opt_str p; opt_str s ]) rows);
-  let gp = Ascii.geomean (List.filter_map (fun (_, p, _) -> p) rows) in
-  let gs = Ascii.geomean (List.filter_map (fun (_, _, s) -> s) rows) in
+    (List.map (fun (e, _, p, s) -> [ Suite.name e; opt_str p; opt_str s ]) rows);
+  let gp = Ascii.geomean (List.filter_map (fun (_, _, p, _) -> p) rows) in
+  let gs = Ascii.geomean (List.filter_map (fun (_, _, _, s) -> s) rows) in
   Ascii.printf "\ngeomean perf/area: Plaid %.2fx ST, Spatial %.2fx ST\n" gp gs;
   [ ("plaid_ppa_vs_st", gp); ("spatial_ppa_vs_st", gs) ]
 
 let fig16 ctx =
+  let outer = Ctx.outer ctx in
   Ascii.heading "Figure 16: application-level comparison on three DNNs (normalized to Plaid)";
   let rows = ref [] in
   let eratios = ref [] and pratios = ref [] in
@@ -246,10 +217,10 @@ let fig16 ctx =
         match (plaid, sp) with
         | Some pm, Ok sr ->
           Some
-            ( inv *. Ctx.energy ctx pm,
-              inv *. float_of_int (Ctx.cycles ctx pm),
-              inv *. Ctx.spatial_energy ctx sr,
-              inv *. float_of_int (Ctx.spatial_cycles ctx sr) )
+            ( inv *. Energy.energy ~outer (Modulo pm),
+              inv *. float_of_int (Energy.cycles ~outer (Modulo pm)),
+              inv *. Energy.energy ~outer (Segments sr.mappings),
+              inv *. float_of_int (Energy.cycles ~outer (Segments sr.mappings)) )
         | _ -> None
       in
       let ms = List.filter_map layer_metrics app.layers in
@@ -277,6 +248,7 @@ let fig16 ctx =
   [ ("spatial_energy_x_plaid", ge); ("spatial_ppa_of_plaid", gp) ]
 
 let fig17 ctx =
+  let outer = Ctx.outer ctx in
   Ascii.heading "Figure 17: 3x3 Plaid vs 2x2 Plaid";
   let rows = ref [] and speedups = ref [] in
   List.iter
@@ -291,7 +263,10 @@ let fig17 ctx =
           match Ctx.map ctx Fabrics.Plaid3 e with
           | None -> ()
           | Some m3 ->
-            let s = float_of_int (Ctx.cycles ctx m2) /. float_of_int (Ctx.cycles ctx m3) in
+            let s =
+              float_of_int (Energy.cycles ~outer (Modulo m2))
+              /. float_of_int (Energy.cycles ~outer (Modulo m3))
+            in
             speedups := s :: !speedups;
             rows :=
               [ Suite.name e; string_of_int m2.Plaid_mapping.Mapping.ii;
@@ -305,6 +280,7 @@ let fig17 ctx =
   [ ("plaid3_speedup", g) ]
 
 let fig18 ctx =
+  let outer = Ctx.outer ctx in
   Ascii.heading "Figure 18: Plaid mapper vs generic mappers on the Plaid fabric";
   let rows = ref [] and vs_pf = ref [] and vs_sa = ref [] in
   let t_hier = ref 0.0 and t_generic = ref 0.0 in
@@ -316,10 +292,10 @@ let fig18 ctx =
       match hier with
       | None -> ()
       | Some hm ->
-        let hc = Ctx.cycles ctx hm in
+        let hc = Energy.cycles ~outer (Modulo hm) in
         let ratio = function
           | Some (m : Plaid_mapping.Mapping.t) ->
-            Some (float_of_int (Ctx.cycles ctx m) /. float_of_int hc)
+            Some (float_of_int (Energy.cycles ~outer (Modulo m)) /. float_of_int hc)
           | None -> None
         in
         let t1 = Plaid_obs.Trace.Clock.now_ns () in
@@ -342,6 +318,7 @@ let fig18 ctx =
   [ ("vs_pathfinder", gpf); ("vs_sa", gsa) ]
 
 let fig19 ctx =
+  let outer = Ctx.outer ctx in
   Ascii.heading "Figure 19: domain specialization on the ML kernels (normalized to Plaid)";
   let rows = ref [] in
   let acc = Hashtbl.create 8 in
@@ -352,11 +329,14 @@ let fig19 ctx =
       match plaid with
       | None -> ()
       | Some pm ->
-        let pe = Ctx.energy ctx pm and pp = Ctx.perf_per_area ctx pm in
+        let pe = Energy.energy ~outer (Modulo pm)
+        and pp = Energy.perf_per_area ~outer (Modulo pm) in
         let rel (m : Plaid_mapping.Mapping.t option) =
           match m with
           | None -> (None, None)
-          | Some m -> (Some (Ctx.energy ctx m /. pe), Some (Ctx.perf_per_area ctx m /. pp))
+          | Some m ->
+            ( Some (Energy.energy ~outer (Modulo m) /. pe),
+              Some (Energy.perf_per_area ~outer (Modulo m) /. pp) )
         in
         let st_e, st_p = rel (Ctx.map ctx Fabrics.St e) in
         let stml_e, stml_p = rel (Ctx.map ctx Fabrics.St_ml e) in
@@ -432,6 +412,7 @@ let utilization ctx =
 (* --- ablations -------------------------------------------------------- *)
 
 let ablations ctx =
+  let outer = Ctx.outer ctx in
   Ascii.heading "Ablations: motif generation, schedule templates, bypass paths";
   Ascii.printf "%s\n"
     "(run with the reduced-budget mapper so architecture/algorithm differences
@@ -459,7 +440,7 @@ show up as II loss rather than being annealed away)";
       match base with
       | None -> ()
       | Some bm ->
-        let bc = Ctx.cycles ctx bm in
+        let bc = Energy.cycles ~outer (Modulo bm) in
         let greedy_hier = Plaid_core.Motif_gen.greedy g in
         let full_hier =
           Plaid_core.Motif_gen.generate ~rng:(Plaid_util.Rng.create 11) g
@@ -476,7 +457,7 @@ show up as II loss rather than being annealed away)";
         let ratio m =
           Option.map
             (fun (m : Plaid_mapping.Mapping.t) ->
-              let cycles = float_of_int (Ctx.cycles ctx m) /. float_of_int bc in
+              let cycles = float_of_int (Energy.cycles ~outer (Modulo m)) /. float_of_int bc in
               let wires =
                 float_of_int (Plaid_mapping.Mapping.wire_occupancy m) /. float_of_int (max 1 bw)
               in

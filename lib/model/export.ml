@@ -11,15 +11,3 @@ let area_json arch ~spm_kb =
     [ ("fabric", report_json ~unit:"um2" (Area.fabric arch));
       ("spm_um2", Json.Num (Area.spm ~kb:spm_kb));
       ("system_um2", Json.Num (Area.system arch ~spm_kb)) ]
-
-let power_json m ~spm_kb =
-  Json.Obj
-    [ ("fabric", report_json ~unit:"uW" (Power.fabric m));
-      ("spm_uw", Json.Num (Power.spm m ~kb:spm_kb));
-      ("system_uw", Json.Num (Power.system m ~spm_kb)) ]
-
-let energy_json m ~spm_kb ~cycles =
-  Json.Obj
-    [ ("cycles", Json.Num (float_of_int cycles));
-      ("fabric_pj", Json.Num (Tech.energy_pj ~power_uw:(Power.fabric_total m) ~cycles));
-      ("system_pj", Json.Num (Tech.energy_pj ~power_uw:(Power.system m ~spm_kb) ~cycles)) ]

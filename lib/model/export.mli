@@ -1,10 +1,10 @@
-(** Machine-readable exports of the area/power/energy models.
+(** Machine-readable exports of the area model.
 
     The ASCII tables ({!Report.pp}) are for humans; these JSON forms are
-    for downstream tooling — the DSE report embeds them per candidate, and
-    external scripts can consume [plaidc model --json]-style output without
-    screen-scraping.  Every export is a pure function of its inputs with
-    deterministic key order, so serialized forms are byte-stable. *)
+    for downstream tooling — the DSE report embeds {!area_json} per
+    candidate (its energies come from {!Plaid_dse.Eval}, not from here).
+    Every export is a pure function of its inputs with deterministic key
+    order, so serialized forms are byte-stable. *)
 
 val report_json : unit:string -> Report.t -> Plaid_obs.Json.t
 (** [{"unit": ..., "categories": {...}, "total": ...}] with categories in
@@ -12,11 +12,3 @@ val report_json : unit:string -> Report.t -> Plaid_obs.Json.t
 
 val area_json : Plaid_arch.Arch.t -> spm_kb:int -> Plaid_obs.Json.t
 (** Fabric breakdown (um^2) plus ["spm_um2"] and ["system_um2"]. *)
-
-val power_json : Plaid_mapping.Mapping.t -> spm_kb:int -> Plaid_obs.Json.t
-(** Fabric breakdown (uW) plus ["spm_uw"] and ["system_uw"]. *)
-
-val energy_json :
-  Plaid_mapping.Mapping.t -> spm_kb:int -> cycles:int -> Plaid_obs.Json.t
-(** [{"cycles", "fabric_pj", "system_pj"}] for an execution of [cycles]
-    cycles: fabric/system power scaled by time. *)

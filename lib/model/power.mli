@@ -18,4 +18,5 @@ val spm : Plaid_mapping.Mapping.t -> kb:int -> float
 val system : Plaid_mapping.Mapping.t -> spm_kb:int -> float
 
 val idle_fabric : Plaid_arch.Arch.t -> float
-(** Leakage-only power (used for sequentially-idle spatial partitions). *)
+(** Leakage-only power of an unmapped fabric: the power floor
+    {!Plaid_dse.Eval} uses to bound a candidate's energy before mapping. *)

@@ -57,6 +57,17 @@ let floor_div a b = if a >= 0 then a / b else -((b - 1 - a) / b)
    validation is refused past this bound rather than allocated. *)
 let max_spread = 1 lsl 20
 
+let max_work = 1 lsl 20
+
+(* [trip > max_work / n] is [trip * n > max_work] without the overflow *)
+let check_work (g : Dfg.t) =
+  let n = Dfg.n_nodes g in
+  if n > 0 && g.trip > max_work / n then
+    Error
+      (Printf.sprintf "%s: trip %d x %d nodes exceeds the simulation bound of %d node firings"
+         g.name g.trip n max_work)
+  else Ok ()
+
 (* Every route step, flattened in (route, path) order: route [r] carries
    node [src.(r)]'s values and owns steps [first.(r)] to [first.(r + 1) - 1].
    A step carries iteration [iter]'s value on [res] at absolute cycle

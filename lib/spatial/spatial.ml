@@ -4,9 +4,6 @@ open Plaid_mapping
 type result = {
   part : Partition.t;
   mappings : Mapping.t list;
-  cycles : int;
-  energy_pj : float;
-  avg_power_uw : float;
 }
 
 let arch () =
@@ -14,14 +11,7 @@ let arch () =
     { Plaid_arch.Mesh.spatial_4x4 with config_entries = 1 }
     ~name:"spatial4x4"
 
-(* A double-buffered configuration plane prefetches the next segment's
-   bits while the current one drains, so a segment switch costs only the
-   swap + restart control, not the full bitstream load. *)
-let reconfig_cycles = 4
-
 let spm_ports = 4
-
-let segment_cycles m = Mapping.perf_cycles m + reconfig_cycles
 
 (* A spatial segment executes with a frozen configuration: placement is one
    node per FU (exclusive MRRG) and throughput is bounded only by the
@@ -78,26 +68,8 @@ let run ?(seed = 1) g =
       match Partition.partition g ~max_nodes ~max_memory with
       | Error _ -> attempt rest
       | Ok part -> (
-        let mapped =
-          List.map (fun seg -> (seg, map_segment a seg ~seed)) part.Partition.segments
-        in
-        if List.exists (fun (_, m) -> m = None) mapped then attempt rest
-        else begin
-          let mappings = List.filter_map snd mapped in
-          let cycles = List.fold_left (fun acc m -> acc + segment_cycles m) 0 mappings in
-          let energy_pj =
-            List.fold_left
-              (fun acc m ->
-                acc
-                +. Plaid_model.Tech.energy_pj
-                     ~power_uw:(Plaid_model.Power.fabric_total m)
-                     ~cycles:(segment_cycles m))
-              0.0 mappings
-          in
-          let avg_power_uw =
-            energy_pj /. (float_of_int cycles *. Plaid_model.Tech.cycle_ns *. 1e-3)
-          in
-          Ok { part; mappings; cycles; energy_pj; avg_power_uw }
-        end))
+        let mapped = List.map (fun seg -> map_segment a seg ~seed) part.Partition.segments in
+        if List.mem None mapped then attempt rest
+        else Ok { part; mappings = List.filter_map Fun.id mapped }))
   in
   attempt budgets

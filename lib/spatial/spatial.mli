@@ -1,27 +1,21 @@
 (** Spatial-CGRA execution model: partition, map each segment fully
-    spatially (II = 1, frozen configuration), run segments sequentially
-    over the whole trip count.
+    spatially (one node per FU, frozen configuration), run segments
+    sequentially over the whole trip count.
 
-    Performance: sum over segments of pipeline fill + one iteration per
-    cycle, plus a per-segment reconfiguration stall.  Power: per-segment
+    Performance and power are priced by {!Plaid_model.Energy} on
+    [Segments mappings]: pipeline fill plus one iteration per II for each
+    segment, a reconfiguration stall per segment switch, and per-segment
     activity with clock-gated configuration (the defining trait of
-    energy-minimal spatial CGRAs); energy is the time-weighted sum. *)
+    energy-minimal spatial CGRAs). *)
 
 type result = {
   part : Partition.t;
-  mappings : Plaid_mapping.Mapping.t list;  (** one per segment, II = 1 *)
-  cycles : int;
-  energy_pj : float;
-  avg_power_uw : float;
+  mappings : Plaid_mapping.Mapping.t list;  (** one per segment *)
 }
 
 val arch : unit -> Plaid_arch.Arch.t
 (** The 4x4 spatial fabric: baseline mesh, single config entry, clock
     gated. *)
-
-val reconfig_cycles : int
-(** Stall to swap in the next segment's configuration (double-buffered
-    config plane: the bits stream in behind the running segment). *)
 
 val spm_ports : int
 (** Scratchpad bank ports (4): a spatial segment with more memory
@@ -30,4 +24,4 @@ val spm_ports : int
     its own node. *)
 
 val run : ?seed:int -> Plaid_ir.Dfg.t -> (result, string) Stdlib.result
-(** Partitions with shrinking budgets until every segment maps at II = 1. *)
+(** Partitions with shrinking budgets until every segment maps. *)

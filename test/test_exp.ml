@@ -29,14 +29,15 @@ let test_ctx_outer_scaling () =
   match Plaid_exp.Ctx.map c St e with
   | None -> Alcotest.fail "dwconv should map"
   | Some m ->
-    let cycles = Plaid_exp.Ctx.cycles c m in
+    let outer = Plaid_exp.Ctx.outer c and run = Plaid_model.Energy.Modulo m in
+    let cycles = Plaid_model.Energy.cycles ~outer run in
     let expected =
       (m.Plaid_mapping.Mapping.ii * ((4 * m.dfg.Plaid_ir.Dfg.trip) - 1))
       + Plaid_mapping.Mapping.makespan m
     in
     check Alcotest.int "outer-scaled cycles" expected cycles;
-    check Alcotest.bool "energy positive" true (Plaid_exp.Ctx.energy c m > 0.0);
-    check Alcotest.bool "ppa positive" true (Plaid_exp.Ctx.perf_per_area c m > 0.0)
+    check Alcotest.bool "energy positive" true (Plaid_model.Energy.energy ~outer run > 0.0);
+    check Alcotest.bool "ppa positive" true (Plaid_model.Energy.perf_per_area ~outer run > 0.0)
 
 let test_ctx_archs_distinct () =
   let c = Lazy.force ctx in

@@ -242,20 +242,70 @@ let test_export_pins_plaid_fabric () =
     (total +. json_num [ "spm_um2" ] j)
     (json_num [ "system_um2" ] j)
 
-let test_export_power_energy () =
-  let st, _ = Lazy.force mapped_pair in
-  let jp = Plaid_model.Export.power_json st ~spm_kb:16 in
-  check (Alcotest.float 1e-9) "power total"
-    (Plaid_model.Power.fabric_total st)
-    (json_num [ "fabric"; "total" ] jp);
-  check (Alcotest.float 1e-9) "system power"
-    (Plaid_model.Power.system st ~spm_kb:16)
-    (json_num [ "system_uw" ] jp);
-  let je = Plaid_model.Export.energy_json st ~spm_kb:16 ~cycles:1000 in
-  check (Alcotest.float 1e-9) "fabric energy"
-    (Plaid_model.Tech.energy_pj ~power_uw:(Plaid_model.Power.fabric_total st) ~cycles:1000)
-    (json_num [ "fabric_pj" ] je);
-  check (Alcotest.float 1e-9) "cycles" 1000.0 (json_num [ "cycles" ] je)
+(* --------------------------------------------------------------- pricing *)
+
+(* Prices pinned bit for bit at outer 1 and 16, recorded before pricing
+   moved into one module: a best-of mapping on st_4x4, a hierarchical one
+   on plaid_2x2, a single-segment and a two-segment spatial run.
+   Rows: (outer, cycles, energy bits, perf/area bits). *)
+let priced =
+  lazy
+    (let dfg k = Suite.dfg (Suite.find k) in
+     let map f k =
+       let b = Plaid_core.Fabrics.build f in
+       match
+         Plaid_serve.Compile.run (Plaid_serve.Compile.for_fabric b.pcu) ~arch:b.arch
+           ~dfg:(dfg k) ~seed:2025
+       with
+       | Some m -> m
+       | None -> Alcotest.failf "%s does not map on %s" k b.arch.Plaid_arch.Arch.name
+     in
+     let spatial k =
+       match Plaid_spatial.Spatial.run ~seed:2025 (dfg k) with
+       | Ok r -> r.mappings
+       | Error e -> Alcotest.fail e
+     in
+     Plaid_model.Energy.
+       [ ( "dwconv st_4x4",
+           Modulo (map Plaid_core.Fabrics.St "dwconv"),
+           [ (1, 126, 0x4070e48fd9fd36f8L, 0x41c270b14d601446L);
+             (16, 1926, 0x40b0238049667b5fL, 0x41c34d49238874ecL) ] );
+         ( "dwconv plaid_2x2",
+           Modulo (map Plaid_core.Fabrics.Plaid "dwconv"),
+           [ (1, 126, 0x40644cfb5d031054L, 0x41d26a5266d61a78L);
+             (16, 1926, 0x40a364f948dc11e2L, 0x41d3469e0727e249L) ] );
+         ( "dwconv spatial",
+           Segments (spatial "dwconv"),
+           [ (1, 129, 0x4062ded551d68c6bL, 0x41c62f81a323456bL);
+             (16, 1929, 0x40a1a2dcf2cf95d6L, 0x41c7bcfbc7a326d8L) ] );
+         ( "gemm_u2 spatial",
+           Segments (spatial "gemm_u2"),
+           [ (1, 151, 0x4068f7107746887cL, 0x41b4377f49b9bdbcL);
+             (16, 2416, 0x40a8f7107746887cL, 0x41b4377f49b9bdbcL) ] ) ])
+
+let test_pricing_pinned () =
+  List.iter
+    (fun (name, run, rows) ->
+      List.iter
+        (fun (outer, cycles, energy, ppa) ->
+          let what = Printf.sprintf "%s outer %d" name outer in
+          check Alcotest.int (what ^ " cycles") cycles (Plaid_model.Energy.cycles ~outer run);
+          check Alcotest.int64 (what ^ " energy") energy
+            (Int64.bits_of_float (Plaid_model.Energy.energy ~outer run));
+          check Alcotest.int64 (what ^ " perf/area") ppa
+            (Int64.bits_of_float (Plaid_model.Energy.perf_per_area ~outer run)))
+        rows)
+    (Lazy.force priced)
+
+let test_pricing_shapes () =
+  match Lazy.force priced with
+  | [ (_, Modulo st, _); _; (_, Segments one, _); (_, Segments two, _) ] ->
+    check Alcotest.int "single segment" 1 (List.length one);
+    check Alcotest.int "two segments" 2 (List.length two);
+    (* the outer-1 modulo price is the one fabric_energy reports *)
+    check Alcotest.int64 "fabric_energy is outer 1" 0x4070e48fd9fd36f8L
+      (Int64.bits_of_float (Plaid_model.Energy.fabric_energy st))
+  | _ -> Alcotest.fail "unexpected pricing fixtures"
 
 (* ------------------------------------------------------------- workloads *)
 
@@ -320,7 +370,11 @@ let suites =
       [
         Alcotest.test_case "area JSON matches the model" `Quick test_export_area_matches_model;
         Alcotest.test_case "pins the plaid fabric numbers" `Quick test_export_pins_plaid_fabric;
-        Alcotest.test_case "power and energy JSON" `Quick test_export_power_energy;
+      ] );
+    ( "pricing",
+      [
+        Alcotest.test_case "cycles, energy and perf/area pinned" `Quick test_pricing_pinned;
+        Alcotest.test_case "segment counts and fabric_energy" `Quick test_pricing_shapes;
       ] );
     ( "workloads",
       [

@@ -154,10 +154,12 @@ let test_spatial_cycles_accumulate () =
   | Ok r ->
     let expected =
       List.fold_left
-        (fun acc m -> acc + Plaid_mapping.Mapping.perf_cycles m + Spatial.reconfig_cycles)
+        (fun acc m ->
+          acc + Plaid_mapping.Mapping.perf_cycles m + Plaid_model.Energy.reconfig_cycles)
         0 r.mappings
     in
-    check Alcotest.int "sum of segments" expected r.cycles
+    check Alcotest.int "sum of segments" expected
+      (Plaid_model.Energy.cycles ~outer:1 (Segments r.mappings))
 
 let suites =
   [

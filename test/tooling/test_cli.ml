@@ -31,6 +31,9 @@
      mapfile, --viz, bit-exact simulation line), and `plaidc run` on that
      file must reject the fabric it cannot resolve with exit 2;
    - `plaidc map -a spatial --report` must say how many segments mapped;
+   - `plaidc map` must print the recorded pricing lines, and `compile`
+     and `run` must refuse a simulation past the work bound with one
+     stderr line and exit 1;
    - unknown subcommands, unknown flags, unknown `-a` names (map, compile,
      rtl, faults: choices on stderr, nothing on stdout), and out-of-range
      argument values (negative counts, -j 0) must exit 2 with a diagnostic
@@ -446,6 +449,86 @@ let () =
   | Ok doc ->
     if member "mapped" doc <> Some (Bool true) then fail "spatial JSON report says unmapped";
     if member "segments" doc <> Some (Num 7.0) then fail "spatial JSON report lacks segments 7"
+
+(* --- priced numbers ------------------------------------------------------ *)
+
+(* The lines map prints from the pricing model, recorded byte for byte: a
+   best-of mapping on st_4x4, a hierarchical one on plaid_2x2 and a
+   two-segment spatial run, all at the default outer trip count. *)
+let () =
+  List.iter
+    (fun (arch, kernel, want) ->
+      let out = Printf.sprintf "price_%s.out" arch in
+      let rc = sh "%s map -k %s -a %s -j 1 > %s 2> /dev/null" plaidc kernel arch out in
+      if rc <> 0 then fail "map -k %s -a %s exited %d" kernel arch rc;
+      let got = read_file out in
+      List.iter
+        (fun line ->
+          if not (contains ~needle:(line ^ "\n") got) then
+            fail "map -k %s -a %s no longer prints %S" kernel arch line)
+        want)
+    [ ( "st",
+        "dwconv",
+        [ "dwconv on st_4x4: II=2, cycles=126 (outer-scaled 1926)";
+          "fabric power 214.5 uW, energy 4131.5 pJ, area 76960 um2" ] );
+      ( "plaid",
+        "dwconv",
+        [ "dwconv on plaid_2x2: II=2, cycles=126 (outer-scaled 1926)";
+          "fabric power 128.9 uW, energy 2482.5 pJ, area 38532 um2" ] );
+      ( "spatial",
+        "gemm_u2",
+        [ "gemm_u2 on spatial 4x4: 2 segments, cycles=2416, energy=3195.5 pJ" ] ) ]
+
+(* --- bounded simulation -------------------------------------------------- *)
+
+(* compile and run simulate at most 2^20 node firings (trip x nodes); past
+   that they refuse with one stderr line and exit 1 before allocating.
+   Each probe sits one trip past the bound: a build without the bound
+   would allocate whatever the trip asks for. *)
+let sim_bound = 1 lsl 20
+
+let expect_sim_refusal ~what cmd =
+  let rc = sh "%s > bound.out 2> bound.err" cmd in
+  if rc <> 1 then fail "%s past the simulation bound: expected exit 1, got %d" what rc;
+  (match String.split_on_char '\n' (String.trim (read_file "bound.err")) with
+  | [ line ] ->
+    if not (contains ~needle:"simulation bound" line) then
+      fail "%s: refusal does not name the bound: %S" what line
+  | lines -> fail "%s: expected one stderr line, got %d" what (List.length lines));
+  if contains ~needle:"simulation:" (read_file "bound.out") then
+    fail "%s simulated past the bound" what
+
+let () =
+  let write path text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc
+  in
+  (* dst[i] = src[i] + 1 lowers to three nodes: a load, an add, a store *)
+  let kernel trip =
+    Printf.sprintf "kernel edge trip %d { dst[i] = src[i] + 1; }\n" trip
+  in
+  write "at_bound.plc" (kernel (sim_bound / 3));
+  let rc = sh "%s compile -f at_bound.plc -a st > at_bound.out 2> /dev/null" plaidc in
+  if rc <> 0 || not (contains ~needle:"bit-exact" (read_file "at_bound.out")) then
+    fail "compile at the simulation bound did not simulate (exit %d)" rc;
+  write "over_bound.plc" (kernel ((sim_bound / 3) + 1));
+  expect_sim_refusal ~what:"compile"
+    (Printf.sprintf "%s compile -f over_bound.plc -a st" plaidc);
+  (* the same kernel saved by map, its trip raised past the bound *)
+  let lines = String.split_on_char '\n' (read_file "atax.map") in
+  let nodes =
+    List.length (List.filter (fun l -> String.length l > 5 && String.sub l 0 5 = "node ") lines)
+  in
+  write "atax_big.map"
+    (String.concat "\n"
+       (List.map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ "dfg"; name; _ ] -> Printf.sprintf "dfg %s %d" name ((sim_bound / nodes) + 1)
+            | _ -> l)
+          lines));
+  expect_sim_refusal ~what:"run" (Printf.sprintf "%s run -f atax_big.map" plaidc)
 
 (* --- architectures from ADL files ------------------------------------- *)
 
