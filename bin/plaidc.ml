@@ -443,9 +443,9 @@ let compile_cmd =
       | exception Invalid_argument msg ->
         Printf.eprintf "%s: %s\n" file msg;
         1
-      | dfg ->
-        Format.printf "%a@." Plaid_ir.Dfg.pp_stats dfg;
-        let dfg, opt_stats = Plaid_ir.Opt.optimize dfg in
+      | lowered ->
+        Format.printf "%a@." Plaid_ir.Dfg.pp_stats lowered;
+        let dfg, opt_stats = Plaid_ir.Opt.optimize lowered in
         Format.printf "optimizer: %a@." Plaid_ir.Opt.pp_stats opt_stats;
         with_jobs jobs @@ fun pool ->
         match map_on ~pool (built_of arch) ~dfg ~seed with
@@ -454,7 +454,9 @@ let compile_cmd =
           1
         | Some m ->
           report_mapping kernel.Plaid_ir.Kernel.name m;
-          within_sim_bound m.dfg @@ fun () ->
+          (* the scratchpad holds every array the kernel names, dead
+             accesses the optimizer dropped included *)
+          within_sim_bound lowered @@ fun () ->
           (* unspecified live-ins default to 3 so verification always runs *)
           let params =
             List.map

@@ -83,7 +83,7 @@ val detected : t -> int
 
 val repair_effort : t -> int
 (** Total displaced nodes + rerouted edges + fallback II attempts, the
-    deterministic proxy for repair cost (wall-clock lives in bench). *)
+    deterministic proxy for repair cost. *)
 
 (** {1 Reports} *)
 

@@ -12,7 +12,7 @@ type hier = {
 }
 
 val greedy : Plaid_ir.Dfg.t -> hier
-(** The initial greedy cover alone (used by the ablation bench). *)
+(** The initial greedy cover alone (used by the ablations experiment). *)
 
 val generate : ?rounds:int -> rng:Plaid_util.Rng.t -> Plaid_ir.Dfg.t -> hier
 (** Full Algorithm 1.  [rounds] caps break/regrow attempts (default 24). *)

@@ -6,7 +6,7 @@ let m_evicted = Plaid_obs.Metrics.counter "cache_evicted"
 
 type entry = { blob : string; mutable tick : int }
 
-type flight = { mutable f_done : bool; mutable f_result : string option }
+type flight = { owner : Domain.id; mutable f_done : bool; mutable f_result : string option }
 
 type t = {
   lock : Mutex.t;
@@ -136,6 +136,14 @@ let finish_flight t key fl result =
       Hashtbl.remove t.inflight key;
       Condition.broadcast t.cond)
 
+(* Callers hold the lock.  A pool waiter runs other queued tasks on its
+   own stack, so a domain inside a compute can be asked for a key in
+   flight: its own, which cannot land while it waits, or another domain's,
+   whose owner may be waiting on this one.  Such a caller computes the key
+   itself: a compute is a function of its key, so both answers agree. *)
+let computing_locked t self =
+  Hashtbl.fold (fun _ fl acc -> acc || fl.owner = self) t.inflight false
+
 let get_or_compute t ~key compute =
   let claim =
     locked t (fun () ->
@@ -145,6 +153,9 @@ let get_or_compute t ~key compute =
           `Hit blob
         | None -> (
           match Hashtbl.find_opt t.inflight key with
+          | Some _ when computing_locked t (Domain.self ()) ->
+            t.s_miss <- t.s_miss + 1;
+            `Inline
           | Some fl ->
             t.s_coalesced <- t.s_coalesced + 1;
             while not fl.f_done do
@@ -152,7 +163,7 @@ let get_or_compute t ~key compute =
             done;
             `Joined fl.f_result
           | None ->
-            let fl = { f_done = false; f_result = None } in
+            let fl = { owner = Domain.self (); f_done = false; f_result = None } in
             Hashtbl.replace t.inflight key fl;
             `Fly fl))
   in
@@ -163,6 +174,9 @@ let get_or_compute t ~key compute =
   | `Joined result ->
     Plaid_obs.Metrics.incr m_coalesced;
     (result, Coalesced)
+  | `Inline ->
+    Plaid_obs.Metrics.incr m_miss;
+    (compute (), Computed)
   | `Fly fl -> (
     match probe_disk t key with
     | `Hit blob ->

@@ -14,7 +14,10 @@
 
     All operations are safe to call concurrently from pool workers.  The
     cache never holds its lock while computing or touching the disk, so
-    compute functions may themselves use the worker pool.
+    compute functions may themselves use the worker pool.  A domain that
+    is itself inside one of this cache's computes never blocks on a flight:
+    while it waits on a pool batch it may run another queued task that asks
+    for a key in flight, its own included, so it computes that key instead.
 
     Every outcome is double-counted into its own stats (always on, read
     via {!stats}) and the global {!Plaid_obs.Metrics} registry

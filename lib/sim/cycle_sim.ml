@@ -62,10 +62,15 @@ let max_work = 1 lsl 20
 (* [trip > max_work / n] is [trip * n > max_work] without the overflow *)
 let check_work (g : Dfg.t) =
   let n = Dfg.n_nodes g in
+  let words = List.fold_left (fun acc (_, w) -> acc + w) 0 (Dfg.arrays g) in
   if n > 0 && g.trip > max_work / n then
     Error
       (Printf.sprintf "%s: trip %d x %d nodes exceeds the simulation bound of %d node firings"
          g.name g.trip n max_work)
+  else if words > max_work then
+    Error
+      (Printf.sprintf "%s: arrays of %d words exceed the simulation bound of %d words" g.name
+         words max_work)
   else Ok ()
 
 (* Every route step, flattened in (route, path) order: route [r] carries

@@ -28,10 +28,12 @@ type stats = {
 
 val check_work : Plaid_ir.Dfg.t -> (unit, string) result
 (** [Error] naming the kernel when [trip * nodes] exceeds 2{^20} node
-    firings, the most a command-line simulation admits: the simulator and
-    {!Reference} hold one value per firing, and the scratchpad grows with
-    the trip count.  The largest shipped kernel (conv3x3, trip 64 x 37
-    nodes) is 2368.  Check it before allocating the scratchpad. *)
+    firings, or the {!Plaid_ir.Dfg.arrays} extents sum past 2{^20} words:
+    the most a command-line simulation admits.  The simulator and
+    {!Reference} hold one value per firing, and the scratchpad holds every
+    word of every array.  The largest shipped kernel (conv3x3, trip 64 x 37
+    nodes) is 2368 firings over 271 words.  Check it before allocating the
+    scratchpad. *)
 
 val run : Plaid_mapping.Mapping.t -> Spm.t -> (stats, string) result
 (** Executes the mapping, mutating the SPM.  Errors on wire conflicts or

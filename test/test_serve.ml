@@ -322,6 +322,56 @@ let test_cache_single_flight () =
     (s.Cache.coalesced + s.Cache.hit_mem = 3)
     true
 
+(* A pool waiter runs queued tasks on its own stack, so a compute can ask
+   for a key in flight on its own domain: its own key, or one whose owner
+   is in turn asking for this one.  Waiting there never ends, so such a
+   caller computes the key itself.  Both cases run in spawned domains, so a
+   hang fails the test instead of stalling the suite. *)
+let test_cache_nested_compute () =
+  let within_10s f =
+    let out = Atomic.make None in
+    let d = Domain.spawn (fun () -> Atomic.set out (Some (f ()))) in
+    let t0 = Plaid_obs.Trace.Clock.now_ns () in
+    while Atomic.get out = None && Plaid_obs.Trace.Clock.seconds_since t0 < 10.0 do
+      Domain.cpu_relax ()
+    done;
+    (* a hung domain is left behind: joining it would hang the suite *)
+    if Atomic.get out <> None then Domain.join d;
+    Atomic.get out
+  in
+  let c = Cache.create () in
+  let k = F.digest_hex "own" in
+  let own () =
+    Cache.get_or_compute c ~key:k (fun () ->
+        fst (Cache.get_or_compute c ~key:k (fun () -> Some "own")))
+  in
+  check "a compute asking for its own key gets it"
+    (within_10s own = Some (Some "own", Cache.Computed))
+    true;
+  (* two owners, each asking for the other's key once both are in flight *)
+  let inside = Atomic.make 0 in
+  let crossed mine theirs () =
+    let got = ref None in
+    let blob, _ =
+      Cache.get_or_compute c ~key:(F.digest_hex mine) (fun () ->
+          Atomic.incr inside;
+          while Atomic.get inside < 2 do
+            Domain.cpu_relax ()
+          done;
+          got := fst (Cache.get_or_compute c ~key:(F.digest_hex theirs) (fun () -> Some theirs));
+          Some mine)
+    in
+    (blob, !got)
+  in
+  let both () =
+    let d = Domain.spawn (crossed "b" "a") in
+    let a = crossed "a" "b" () in
+    (a, Domain.join d)
+  in
+  check "owners asking for each other's keys both finish"
+    (within_10s both = Some ((Some "a", Some "b"), (Some "b", Some "a")))
+    true
+
 (* ------------------------------------- service: mapping blob round trip *)
 
 let dir_service () =
@@ -508,6 +558,36 @@ let test_service_batch_coalesces () =
     (s.Cache.miss = 1 && s.Cache.hit_mem + s.Cache.coalesced = 2)
     true
 
+(* Telemetry is out of band on the hot path: the same warm batch with the
+   registry disarmed and then armed answers byte-identical payloads, every
+   one a memory hit. *)
+let test_service_warm_batch_metrics_invariant () =
+  let _, svc = dir_service () in
+  let reqs = [ map_req "dwconv"; map_req "jacobi"; map_req ~arch:"st" "dwconv" ] in
+  ignore (Service.run_batch svc reqs);
+  let armed = Plaid_obs.Metrics.enabled () in
+  Plaid_obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Plaid_obs.Metrics.set_enabled armed;
+      Plaid_obs.Metrics.reset ())
+  @@ fun () ->
+  let warm metrics =
+    Plaid_obs.Metrics.set_enabled metrics;
+    List.map payload_of (Service.run_batch svc reqs)
+  in
+  let off = warm false in
+  let on = warm true in
+  check "every warm request is a memory hit"
+    (List.for_all (fun (_, source) -> source = Some Cache.Mem) (off @ on))
+    true;
+  check "armed pass counted its hits"
+    (List.assoc_opt "cache_hit_mem" (Plaid_obs.Metrics.snapshot ()).Plaid_obs.Metrics.counters
+    = Some (List.length reqs))
+    true;
+  check "payloads byte-identical with metrics off and on" (List.map fst off = List.map fst on)
+    true
+
 let suites =
   [
     ( "serve-fingerprint",
@@ -538,6 +618,8 @@ let suites =
         Alcotest.test_case "negative results not cached" `Quick test_cache_negative_not_cached;
         Alcotest.test_case "lru respects the byte budget" `Quick test_cache_lru_eviction;
         Alcotest.test_case "single-flight coalescing" `Quick test_cache_single_flight;
+        Alcotest.test_case "nested computes never wait on a flight" `Quick
+          test_cache_nested_compute;
       ] );
     ( "serve-service",
       [
@@ -551,5 +633,7 @@ let suites =
         Alcotest.test_case "metrics and health verbs" `Quick
           test_service_metrics_and_health_verbs;
         Alcotest.test_case "batches coalesce" `Quick test_service_batch_coalesces;
+        Alcotest.test_case "warm batch independent of metrics" `Quick
+          test_service_warm_batch_metrics_invariant;
       ] );
   ]

@@ -481,10 +481,11 @@ let () =
 
 (* --- bounded simulation -------------------------------------------------- *)
 
-(* compile and run simulate at most 2^20 node firings (trip x nodes); past
-   that they refuse with one stderr line and exit 1 before allocating.
-   Each probe sits one trip past the bound: a build without the bound
-   would allocate whatever the trip asks for. *)
+(* compile and run simulate at most 2^20 node firings (trip x nodes) over
+   at most 2^20 array words; past either they refuse with one stderr line
+   and exit 1 before allocating.  Each probe sits one trip, one word or
+   one stride step past the bound: a build without the bound would
+   allocate whatever the kernel asks for. *)
 let sim_bound = 1 lsl 20
 
 let expect_sim_refusal ~what cmd =
@@ -515,6 +516,22 @@ let () =
   write "over_bound.plc" (kernel ((sim_bound / 3) + 1));
   expect_sim_refusal ~what:"compile"
     (Printf.sprintf "%s compile -f over_bound.plc -a st" plaidc);
+  (* two iterations reading src[0] and src[scale]: src spans scale + 1
+     words and dst 2, so a scale of bound - 2 is one word past the bound,
+     live or dead *)
+  let wide ~dead scale =
+    if dead then Printf.sprintf "kernel wide trip 2 { t = src[%d*i]; dst[i] = 1; }\n" scale
+    else Printf.sprintf "kernel wide trip 2 { dst[i] = src[%d*i] + 1; }\n" scale
+  in
+  write "words_at_bound.plc" (wide ~dead:false (sim_bound - 3));
+  let rc = sh "%s compile -f words_at_bound.plc -a st > words.out 2> /dev/null" plaidc in
+  if rc <> 0 || not (contains ~needle:"bit-exact" (read_file "words.out")) then
+    fail "compile at the word bound did not simulate (exit %d)" rc;
+  List.iter
+    (fun (what, dead) ->
+      write "words_over.plc" (wide ~dead (sim_bound - 2));
+      expect_sim_refusal ~what (Printf.sprintf "%s compile -f words_over.plc -a st" plaidc))
+    [ ("compile (array words)", false); ("compile (a dead load's words)", true) ];
   (* the same kernel saved by map, its trip raised past the bound *)
   let lines = String.split_on_char '\n' (read_file "atax.map") in
   let nodes =
@@ -528,7 +545,36 @@ let () =
             | [ "dfg"; name; _ ] -> Printf.sprintf "dfg %s %d" name ((sim_bound / nodes) + 1)
             | _ -> l)
           lines));
-  expect_sim_refusal ~what:"run" (Printf.sprintf "%s run -f atax_big.map" plaidc)
+  expect_sim_refusal ~what:"run" (Printf.sprintf "%s run -f atax_big.map" plaidc);
+  (* the same kernel with node 0's load stride raised until its array alone
+     spans just past the bound *)
+  let trip =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "dfg"; _; trip ] -> int_of_string_opt trip
+        | _ -> None)
+      lines
+    |> Option.get
+  in
+  let stride = (sim_bound + trip - 2) / (trip - 1) in
+  write "atax_wide.map"
+    (String.concat "\n"
+       (List.map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | "node" :: "0" :: op :: imm :: access :: rest -> (
+              match String.split_on_char ':' access with
+              | [ arr; offset; _ ] ->
+                String.concat " "
+                  ("node" :: "0" :: op :: imm :: Printf.sprintf "%s:%s:%d" arr offset stride
+                 :: rest)
+              | _ ->
+                fail "atax.map node 0 has no access: %S" l;
+                l)
+            | _ -> l)
+          lines));
+  expect_sim_refusal ~what:"run (array words)" (Printf.sprintf "%s run -f atax_wide.map" plaidc)
 
 (* --- architectures from ADL files ------------------------------------- *)
 
