@@ -32,7 +32,9 @@ type fault =
    "unreachable or >= 255" (the router's max detour is far below 255, so
    the clamp never weakens a usable bound).  [rt_adj_*] is the out-link
    adjacency flattened to CSR form, preserving list order, so the search
-   hot loop touches contiguous int arrays instead of chasing list cells. *)
+   hot loop touches contiguous int arrays instead of chasing list cells.
+   [rt_is_fu]/[rt_cost] are per-resource kind tests and [base_route_cost]
+   values, read by the hot loop without matching on [kind]. *)
 type route_tables = {
   rt_n : int;
   rt_hop : Bytes.t;
@@ -40,6 +42,8 @@ type route_tables = {
   rt_adj_idx : int array;
   rt_adj_dst : int array;
   rt_adj_lat : int array;
+  rt_is_fu : bool array;
+  rt_cost : float array;
 }
 
 type t = {
@@ -317,7 +321,11 @@ let build_route_tables t =
   in
   sweep rt_hop ~weight:(fun _ -> 1);
   sweep rt_lat ~weight:(fun lat -> lat);
-  { rt_n = n; rt_hop; rt_lat; rt_adj_idx; rt_adj_dst; rt_adj_lat }
+  let rt_is_fu =
+    Array.map (fun r -> match r.kind with Fu _ -> true | Port | Reg -> false) t.resources
+  in
+  let rt_cost = Array.init n (base_route_cost t) in
+  { rt_n = n; rt_hop; rt_lat; rt_adj_idx; rt_adj_dst; rt_adj_lat; rt_is_fu; rt_cost }
 
 (* Lazy shared build: losing a publication race only wastes the duplicate
    work — both results are identical pure functions of the value. *)

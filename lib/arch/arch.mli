@@ -71,7 +71,8 @@ type config_profile = {
     from [res] to [dst] over the faulted adjacency; byte 255 means
     unreachable (or clamped, far beyond the router's maximum detour).
     [rt_adj_idx]/[rt_adj_dst]/[rt_adj_lat] are [out_links] flattened to CSR
-    form in list order. *)
+    form in list order.  [rt_is_fu.(res)] tells whether [res] is an FU and
+    [rt_cost.(res)] is {!base_route_cost}[ t res]. *)
 type route_tables = private {
   rt_n : int;
   rt_hop : Bytes.t;
@@ -79,6 +80,8 @@ type route_tables = private {
   rt_adj_idx : int array;
   rt_adj_dst : int array;
   rt_adj_lat : int array;
+  rt_is_fu : bool array;
+  rt_cost : float array;
 }
 
 type t = private {

@@ -146,6 +146,20 @@ let topo_order g = topo_of g.name g.nodes g.preds g.succs
 
 let max_dist g = Array.fold_left (fun acc (e : edge) -> max acc e.dist) 0 g.edges
 
+(* [1 + max 0 (max offset (offset + stride * (trip - 1)))], saturated at
+   [max_int] instead of wrapping, so a huge stride cannot pass for a small
+   array. *)
+let extent ~offset ~stride ~trip =
+  let k = max 0 (trip - 1) in
+  let hi =
+    if stride <= 0 || k = 0 then offset
+    else if stride > max_int / k then max_int
+    else
+      let span = stride * k in
+      if offset > max_int - span then max_int else offset + span
+  in
+  if hi = max_int then max_int else 1 + max 0 hi
+
 let arrays g =
   let tbl = Hashtbl.create 8 in
   Array.iter
@@ -153,8 +167,7 @@ let arrays g =
       match nd.access with
       | None -> ()
       | Some a ->
-        let last = a.offset + (a.stride * max 0 (g.trip - 1)) in
-        let extent = 1 + max a.offset (max last 0) in
+        let extent = extent ~offset:a.offset ~stride:a.stride ~trip:g.trip in
         let prev = try Hashtbl.find tbl a.array with Not_found -> 0 in
         Hashtbl.replace tbl a.array (max prev extent))
     g.nodes;

@@ -96,8 +96,14 @@ val topo_order : t -> int list
 val max_dist : t -> int
 (** Largest inter-iteration distance in the graph (0 if none). *)
 
+val extent : offset:int -> stride:int -> trip:int -> int
+(** Element count covering [offset + stride * i] for every [i] in
+    [0, trip): [1 + max 0 (max offset last)] with [last] the final address.
+    Saturates at [max_int] rather than overflowing. *)
+
 val arrays : t -> (string * int) list
 (** Arrays referenced with, for each, a conservative element count covering
-    every access over [trip] iterations. *)
+    every access over [trip] iterations ({!extent}, so at most
+    [max_int]). *)
 
 val pp_stats : Format.formatter -> t -> unit

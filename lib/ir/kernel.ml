@@ -87,8 +87,7 @@ let interpret k ~params mem =
 let array_extents k =
   let tbl = Hashtbl.create 8 in
   let touch arr (ix : index) =
-    let first = ix.shift and last = ix.shift + (ix.scale * max 0 (k.trip - 1)) in
-    let hi = 1 + max 0 (max first last) in
+    let hi = Dfg.extent ~offset:ix.shift ~stride:ix.scale ~trip:k.trip in
     let prev = try Hashtbl.find tbl arr with Not_found -> 0 in
     Hashtbl.replace tbl arr (max prev hi)
   in

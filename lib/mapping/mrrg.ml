@@ -57,6 +57,10 @@ let eff_slot t slot = if t.exclusive then 0 else Schedule.slot ~ii:t.m_ii slot
 
 let cell t res slot = t.cells.(res).(eff_slot t slot)
 
+let cells t = t.cells
+
+let blocked_cells t = t.blocked
+
 let cell_index t ~res ~slot = (res * slots t) + eff_slot t slot
 
 let blocked t ~res ~slot = t.blocked.(res).(eff_slot t slot)

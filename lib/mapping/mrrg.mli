@@ -83,6 +83,13 @@ val cell : t -> int -> int -> cell
 (** [cell t res slot] with the slot normalized modulo II (collapsed to the
     single cell when exclusive).  Do not mutate directly. *)
 
+val cells : t -> cell array array
+(** Every cell, as [.(res).(slot)] with [slot] already normalized (0 when
+    exclusive): for hot loops that compute the slot once.  Read only. *)
+
+val blocked_cells : t -> bool array array
+(** The fault mask, indexed like {!cells}.  Read only. *)
+
 val presence : t -> res:int -> slot:int -> int
 (** Number of distinct signals (plus 1 if a node executes there). *)
 

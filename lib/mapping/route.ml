@@ -12,44 +12,7 @@ let m_finds = Obs.Metrics.counter "route/finds"
 let m_memo_hits = Obs.Metrics.counter "route/memo_hits"
 let m_memo_misses = Obs.Metrics.counter "route/memo_misses"
 
-(* ------------------------------------------------------------ cost model *)
-
-let usable mrrg ~mode ~res ~slot signal =
-  match mode with
-  | Hard -> Mrrg.can_use mrrg ~res ~slot signal
-  | Soft _ ->
-    (* Nodes pin FUs exclusively even under negotiation, and faulted cells
-       are never negotiable; other wires are open at a price. *)
-    (not (Mrrg.blocked mrrg ~res ~slot))
-    && (match Mrrg.node_at mrrg ~fu:res ~slot with
-       | Some _ -> false
-       | None -> true)
-
-let step_cost mrrg ~mode ~res ~slot =
-  let base = Plaid_arch.Arch.base_route_cost (Mrrg.arch mrrg) res in
-  match mode with
-  | Hard -> base
-  | Soft { present_factor; history } ->
-    let present = float_of_int (Mrrg.presence mrrg ~res ~slot) in
-    (base *. (1.0 +. (present_factor *. present))) +. history.(res).(slot)
-
 (* -------------------------------------------------------- search helpers *)
-
-(* A path must not reuse a (resource, slot) cell at a different elapsed
-   time: the value would collide with itself one iteration apart (e.g. a
-   register held for >= II cycles).  Under a frozen (spatial)
-   configuration any second visit at a different delay conflicts — a
-   static mux cannot feed the same wire twice.  Since the search finalizes
-   prev chains at pop time, walking the popped state's chain is sound. *)
-let chain_conflict ~prev ~start ~len1 ~ii ~exclusive s_popped res' e' =
-  let rec walk s =
-    if s = start then false
-    else begin
-      let r = s / len1 and e = s mod len1 in
-      (r = res' && e <> e' && (exclusive || (e - e') mod ii = 0)) || walk prev.(s)
-    end
-  in
-  walk s_popped
 
 (* Rebuild the path, dropping the source and target FU states. *)
 let reconstruct ~prev ~start ~len1 ~dst_fu ~length target =
@@ -64,23 +27,24 @@ let reconstruct ~prev ~start ~len1 ~dst_fu ~length target =
 
 (* ----------------------------------------------------------- query memo *)
 
-(* One probe records everything the search observed about a (res, slot)
-   cell: its occupancy snapshot and (in soft mode) the history cost in
-   force.  Signal lists are immutable values — Mrrg mutations replace the
-   list — so storing the reference is a faithful snapshot. *)
-type probe = {
-  p_res : int;
-  p_slot : int;
-  p_exec : int option;
-  p_signals : (Mrrg.signal * int) list;
-  p_hist : float;
-}
-
+(* A footprint records everything the search observed about each (res,
+   slot) cell it probed: its occupancy snapshot and (in soft mode) the
+   history cost in force.  Probe [i] is [me_cells.(3i)] (resource),
+   [me_cells.(3i+1)] (modulo slot), [me_cells.(3i+2)] (the executing node,
+   or [no_exec]), [me_signals.(i)] and, in soft mode only, [me_hist.(i)].
+   Signal lists are immutable values — Mrrg mutations replace the list —
+   so storing the reference is a faithful snapshot. *)
 type memo_entry = {
   me_pf : float;  (* negotiation present_factor; 0.0 in hard mode *)
-  me_probes : probe array;
+  me_cells : int array;
+  me_signals : (Mrrg.signal * int) list array;
+  me_hist : float array;  (* empty in hard mode *)
   me_result : (path * float) option;
 }
+
+let no_exec = min_int
+
+let exec_code = function None -> no_exec | Some node -> node
 
 type memo_state = { memo_tbl : (int, memo_entry) Hashtbl.t }
 
@@ -116,30 +80,40 @@ let memo_keyable ~n ~ii ~src_node =
    way).  By induction over the search, identical probe values imply an
    identical probe set and identical decisions throughout. *)
 let memo_valid mrrg ~mode entry =
-  let pf = match mode with Hard -> 0.0 | Soft s -> s.present_factor in
-  let hist = match mode with Hard -> None | Soft s -> Some s.history in
-  let ok = ref true in
-  let n = Array.length entry.me_probes in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let p = entry.me_probes.(!i) in
-    let c = Mrrg.cell mrrg p.p_res p.p_slot in
-    let presence = List.length p.p_signals + match p.p_exec with Some _ -> 1 | None -> 0 in
-    ok :=
-      c.Mrrg.exec = p.p_exec
-      && c.Mrrg.signals = p.p_signals
-      && (match hist with None -> true | Some h -> h.(p.p_res).(p.p_slot) = p.p_hist)
-      && (presence = 0 || entry.me_pf = pf);
-    incr i
-  done;
-  !ok
+  let soft, same_pf, hist =
+    match mode with
+    | Hard -> (false, entry.me_pf = 0.0, [||])
+    | Soft s -> (true, entry.me_pf = s.present_factor, s.history)
+  in
+  let cells = Mrrg.cells mrrg and exclusive = Mrrg.exclusive mrrg in
+  let fp = entry.me_cells and sigs = entry.me_signals in
+  let n = Array.length sigs in
+  let rec ok i =
+    i >= n
+    ||
+    let res = fp.(3 * i) and slot = fp.((3 * i) + 1) and ex = fp.((3 * i) + 2) in
+    let c = cells.(res).(if exclusive then 0 else slot) in
+    let s = sigs.(i) in
+    (match c.Mrrg.exec with None -> ex = no_exec | Some node -> node = ex)
+    && (c.Mrrg.signals == s || c.Mrrg.signals = s)
+    && ((not soft) || hist.(res).(slot) = entry.me_hist.(i))
+    && (same_pf || (ex = no_exec && s = []))
+    && ok (i + 1)
+  in
+  ok 0
 
 (* ---------------------------------------------------------- search core *)
 
 (* Per-domain scratch arena: epoch-stamped dist/prev/popped state arrays,
-   a reusable indexed heap, and a footprint-mark array for memo probe
-   deduplication.  A search touches only the states it explores; bumping
-   the epoch invalidates everything in O(1). *)
+   a reusable indexed heap, a footprint-mark array for memo probe
+   deduplication, the per-elapsed slot table, the chain marks and the
+   footprint buffers.  A search touches only the states it explores;
+   bumping the epoch invalidates everything in O(1).
+
+   Chain marks are per (resource, normalized slot) cell:
+   [a_chain.(c) = tick * chain_span + elapsed] when the chain of the pop
+   numbered [tick] holds cell [c] at [elapsed].  Ticks only grow, so a
+   mark below the current pop's [tick * chain_span] is stale. *)
 type arena = {
   mutable a_dist : float array;
   mutable a_prev : int array;
@@ -147,15 +121,26 @@ type arena = {
   mutable a_pop : int array;      (* state popped iff = a_epoch *)
   mutable a_cmark : int array;    (* cell probed iff = a_epoch *)
   mutable a_epoch : int;
+  mutable a_slot : int array;     (* elapsed -> modulo slot *)
+  mutable a_chain : int array;
+  mutable a_tick : int;
+  mutable a_fp_cells : int array;
+  mutable a_fp_signals : (Mrrg.signal * int) list array;
+  mutable a_fp_hist : float array;
+  mutable a_fp_n : int;
   a_heap : Plaid_util.Iheap.t;
 }
+
+let chain_span = max_detour + 1
 
 let arena_key : arena Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { a_dist = [||]; a_prev = [||]; a_stamp = [||]; a_pop = [||]; a_cmark = [||];
-        a_epoch = 0; a_heap = Plaid_util.Iheap.create () })
+        a_epoch = 0; a_slot = [||]; a_chain = [||]; a_tick = 0;
+        a_fp_cells = [||]; a_fp_signals = [||]; a_fp_hist = [||]; a_fp_n = 0;
+        a_heap = Plaid_util.Iheap.create () })
 
-let ensure_arena a ~nstates ~ncells =
+let ensure_arena a ~nstates ~ncells ~len1 =
   if Array.length a.a_stamp < nstates then begin
     let cap = max nstates (2 * Array.length a.a_stamp) in
     a.a_dist <- Array.make cap infinity;
@@ -163,11 +148,46 @@ let ensure_arena a ~nstates ~ncells =
     a.a_stamp <- Array.make cap 0;
     a.a_pop <- Array.make cap 0
   end;
-  if Array.length a.a_cmark < ncells then
-    a.a_cmark <- Array.make (max ncells (2 * Array.length a.a_cmark)) 0;
+  if Array.length a.a_cmark < ncells then begin
+    let cap = max ncells (2 * Array.length a.a_cmark) in
+    a.a_cmark <- Array.make cap 0;
+    a.a_chain <- Array.make cap 0
+  end;
+  if Array.length a.a_slot < len1 then a.a_slot <- Array.make len1 0;
   Plaid_util.Iheap.reserve a.a_heap nstates;
   Plaid_util.Iheap.clear a.a_heap;
+  a.a_fp_n <- 0;
   a.a_epoch <- a.a_epoch + 1
+
+let record_probe a ~soft res slot (c : Mrrg.cell) hist =
+  let i = a.a_fp_n in
+  if i = Array.length a.a_fp_signals then begin
+    let cap = max 64 (2 * i) in
+    let cells = Array.make (3 * cap) 0 and signals = Array.make cap [] in
+    Array.blit a.a_fp_cells 0 cells 0 (3 * i);
+    Array.blit a.a_fp_signals 0 signals 0 i;
+    a.a_fp_cells <- cells;
+    a.a_fp_signals <- signals;
+    let h = Array.make cap 0.0 in
+    Array.blit a.a_fp_hist 0 h 0 (Array.length a.a_fp_hist);
+    a.a_fp_hist <- h
+  end;
+  a.a_fp_cells.(3 * i) <- res;
+  a.a_fp_cells.((3 * i) + 1) <- slot;
+  a.a_fp_cells.((3 * i) + 2) <- exec_code c.Mrrg.exec;
+  a.a_fp_signals.(i) <- c.Mrrg.signals;
+  if soft then a.a_fp_hist.(i) <- hist;
+  a.a_fp_n <- i + 1
+
+(* The footprint of the search just run on this domain, copied out of the
+   arena. *)
+let footprint a ~soft ~pf result =
+  let n = a.a_fp_n in
+  { me_pf = pf;
+    me_cells = Array.sub a.a_fp_cells 0 (3 * n);
+    me_signals = Array.sub a.a_fp_signals 0 n;
+    me_hist = (if soft then Array.sub a.a_fp_hist 0 n else [||]);
+    me_result = result }
 
 (* A* search over states [res * (length+1) + elapsed], using the
    architecture's hop table as a consistent lower bound (every non-target
@@ -175,43 +195,59 @@ let ensure_arena a ~nstates ~ncells =
    overestimates), the latency table to prune states that cannot reach the
    target within the remaining cycle budget (such states are never on any
    surviving prev chain), CSR adjacency, and an indexed heap with
-   decrease-key.  Optionally records the probe footprint for the memo. *)
+   decrease-key.  Each relaxation reads its slot from a per-search table
+   and tests the cell on ints.  Optionally records the probe footprint
+   for the memo in the arena.
+
+   A path must not reuse a (resource, slot) cell at a different elapsed
+   time: the value would collide with itself one iteration apart (e.g. a
+   register held for >= II cycles).  Under a frozen (spatial)
+   configuration any second visit at a different delay conflicts — a
+   static mux cannot feed the same wire twice, and all slots share one
+   cell.  Every prev link is set only after this test against the
+   parent's chain, so a chain holds each cell at most once, and prev
+   chains are final at pop time: one walk of the popped state's chain,
+   marking each cell with its elapsed time, answers the test for every
+   neighbour exactly. *)
 let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
   let arch = Mrrg.arch mrrg in
   let n = Plaid_arch.Arch.n_resources arch in
   let fu_ok = arch.Plaid_arch.Arch.allow_fu_routethrough in
   let rt = Plaid_arch.Arch.route_tables arch in
+  let adj_idx = rt.Plaid_arch.Arch.rt_adj_idx and adj_dst = rt.Plaid_arch.Arch.rt_adj_dst
+  and adj_lat = rt.Plaid_arch.Arch.rt_adj_lat and rt_lat = rt.Plaid_arch.Arch.rt_lat
+  and rt_hop = rt.Plaid_arch.Arch.rt_hop and is_fu = rt.Plaid_arch.Arch.rt_is_fu
+  and base_cost = rt.Plaid_arch.Arch.rt_cost in
   let len1 = length + 1 in
   let nstates = n * len1 in
   let ii = Mrrg.ii mrrg in
+  let exclusive = Mrrg.exclusive mrrg in
+  let nslots = if exclusive then 1 else ii in
+  let cells = Mrrg.cells mrrg and blocked = Mrrg.blocked_cells mrrg in
+  let soft, present_factor, hist =
+    match mode with
+    | Hard -> (false, 0.0, [||])
+    | Soft s -> (true, s.present_factor, s.history)
+  in
   let a = Domain.DLS.get arena_key in
   (* Probe marks are per (res, modulo slot) — NOT per collapsed cell: on an
      exclusive MRRG occupancy collapses to one cell but the negotiation
      history keeps one entry per slot, and each consulted entry must land
      in the footprint. *)
-  ensure_arena a ~nstates ~ncells:(n * ii);
+  ensure_arena a ~nstates ~ncells:(n * ii) ~len1;
   let epoch = a.a_epoch in
   let dist = a.a_dist and prev = a.a_prev and stamp = a.a_stamp and pop = a.a_pop in
+  let cmark = a.a_cmark and chain = a.a_chain in
+  let slot_of = a.a_slot in
+  for e = 0 to length do
+    slot_of.(e) <- Schedule.slot ~ii (t_src + e)
+  done;
   let heap = a.a_heap in
-  let probes = ref [] in
-  let probe res slot soft_hist =
-    let idx = (res * ii) + slot in
-    if a.a_cmark.(idx) <> epoch then begin
-      a.a_cmark.(idx) <- epoch;
-      let c = Mrrg.cell mrrg res slot in
-      probes :=
-        { p_res = res; p_slot = slot; p_exec = c.Mrrg.exec; p_signals = c.Mrrg.signals;
-          p_hist = soft_hist }
-        :: !probes
-    end
-  in
-  let hist = match mode with Hard -> None | Soft s -> Some s.history in
   let lat_base = dst_fu * n and hop_base = dst_fu * n in
-  let h res =
-    let hops = Char.code (Bytes.unsafe_get rt.Plaid_arch.Arch.rt_hop (hop_base + res)) in
+  let[@inline] h res =
+    let hops = Char.code (Bytes.unsafe_get rt_hop (hop_base + res)) in
     float_of_int (max 0 (hops - 1))
   in
-  let exclusive = Mrrg.exclusive mrrg in
   let start = src_fu * len1 in
   let target = (dst_fu * len1) + length in
   stamp.(start) <- epoch;
@@ -226,7 +262,8 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
     if s < 0 then finished := true
     else begin
       let g = dist.(s) in
-      let res = s / len1 and elapsed = s mod len1 in
+      let res = s / len1 in
+      let elapsed = s - (res * len1) in
       (* Keep draining until the popped priority strictly exceeds the best
          target distance: equal-priority states may still rewrite
          [prev target] under the canonical tie rule. *)
@@ -234,41 +271,90 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
       else begin
         pop.(s) <- epoch;
         if s <> target then begin
-          let k0 = rt.Plaid_arch.Arch.rt_adj_idx.(res) in
-          let k1 = rt.Plaid_arch.Arch.rt_adj_idx.(res + 1) in
-          for k = k0 to k1 - 1 do
-            let dst = Array.unsafe_get rt.Plaid_arch.Arch.rt_adj_dst k in
-            let lat = Array.unsafe_get rt.Plaid_arch.Arch.rt_adj_lat k in
-            let e' = elapsed + lat in
+          (* The popped chain is marked on the first neighbour that
+             reaches the chain rule; [mark] is then this pop's base. *)
+          let mark = ref 0 in
+          for k = adj_idx.(res) to adj_idx.(res + 1) - 1 do
+            let dst = Array.unsafe_get adj_dst k in
+            let e' = elapsed + Array.unsafe_get adj_lat k in
             if e' <= length then begin
               let is_target = dst = dst_fu && e' = length in
-              let live =
-                is_target
-                || Char.code (Bytes.unsafe_get rt.Plaid_arch.Arch.rt_lat (lat_base + dst))
-                   <= length - e'
-              in
-              if live then begin
-                let intermediate_fu =
-                  match (Plaid_arch.Arch.resource arch dst).kind with
-                  | Plaid_arch.Arch.Fu _ -> not is_target
-                  | _ -> false
+              if is_target then begin
+                (* The target entry is free and always passable; relaxing
+                   it apart keeps the other states' path free of target
+                   cases. *)
+                let s' = (dst * len1) + e' in
+                if stamp.(s') <> epoch then begin
+                  stamp.(s') <- epoch;
+                  dist.(s') <- infinity;
+                  prev.(s') <- -1;
+                  pop.(s') <- 0
+                end;
+                if g < dist.(s') then begin
+                  dist.(s') <- g;
+                  prev.(s') <- s;
+                  dist_target := g;
+                  let key = g +. h dst in
+                  if Plaid_util.Iheap.contains heap s' then
+                    Plaid_util.Iheap.decrease heap s' ~key ~sec:g
+                  else Plaid_util.Iheap.insert heap s' ~key ~sec:g
+                end
+                else if g = dist.(s') && s < prev.(s') then prev.(s') <- s
+              end
+              else if
+                Char.code (Bytes.unsafe_get rt_lat (lat_base + dst)) <= length - e'
+                && (fu_ok || not (Array.unsafe_get is_fu dst))
+              then begin
+                let slot = slot_of.(e') in
+                let cslot = if exclusive then 0 else slot in
+                let c = cells.(dst).(cslot) in
+                let cell_hist = if soft then hist.(dst).(slot) else 0.0 in
+                if record then begin
+                  let p = (dst * ii) + slot in
+                  if cmark.(p) <> epoch then begin
+                    cmark.(p) <- epoch;
+                    record_probe a ~soft dst slot c cell_hist
+                  end
+                end;
+                (* Faulted cells and cells where a node executes are never
+                   usable, even under negotiation.  Hard mode also needs
+                   the cell empty or carrying this very signal (multicast
+                   sharing); soft mode opens every other wire at a price. *)
+                let free =
+                  (not blocked.(dst).(cslot))
+                  && (match c.Mrrg.exec with None -> true | Some _ -> false)
+                  && (soft
+                     ||
+                     match c.Mrrg.signals with
+                     | [] -> true
+                     | [ (sg, _) ] -> sg.Mrrg.s_node = src_node && sg.Mrrg.s_elapsed = e'
+                     | _ :: _ :: _ -> false)
                 in
-                if (not intermediate_fu) || fu_ok then begin
-                  let slot = Schedule.slot ~ii (t_src + e') in
-                  let cell_hist =
-                    match hist with None -> 0.0 | Some hh -> hh.(dst).(slot)
-                  in
-                  if record && not is_target then probe dst slot cell_hist;
-                  let signal = { Mrrg.s_node = src_node; s_elapsed = e' } in
-                  let passable =
-                    if is_target then true
-                    else
-                      usable mrrg ~mode ~res:dst ~slot signal
-                      && not (chain_conflict ~prev ~start ~len1 ~ii ~exclusive s dst e')
-                  in
-                  if passable then begin
-                    let c = if is_target then 0.0 else step_cost mrrg ~mode ~res:dst ~slot in
-                    let nd = g +. c in
+                if free then begin
+                  if !mark = 0 then begin
+                    a.a_tick <- a.a_tick + 1;
+                    mark := a.a_tick * chain_span;
+                    let t = ref s in
+                    while !t <> start do
+                      let r = !t / len1 in
+                      let e = !t - (r * len1) in
+                      chain.((r * nslots) + if exclusive then 0 else slot_of.(e)) <- !mark + e;
+                      t := prev.(!t)
+                    done
+                  end;
+                  (* passable: the cell is off the chain, or on it at e' *)
+                  let v = chain.((dst * nslots) + cslot) in
+                  if v < !mark || v = !mark + e' then begin
+                    let base = Array.unsafe_get base_cost dst in
+                    let cost =
+                      if soft then
+                        (* [free] means no node executes here, so presence
+                           is the number of distinct signals. *)
+                        let present = float_of_int (List.length c.Mrrg.signals) in
+                        (base *. (1.0 +. (present_factor *. present))) +. cell_hist
+                      else base
+                    in
+                    let nd = g +. cost in
                     let s' = (dst * len1) + e' in
                     if stamp.(s') <> epoch then begin
                       stamp.(s') <- epoch;
@@ -279,16 +365,13 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                     if nd < dist.(s') then begin
                       dist.(s') <- nd;
                       prev.(s') <- s;
-                      if is_target then dist_target := nd;
                       let key = nd +. h dst in
                       if Plaid_util.Iheap.contains heap s' then
                         Plaid_util.Iheap.decrease heap s' ~key ~sec:nd
                       else Plaid_util.Iheap.insert heap s' ~key ~sec:nd
                     end
-                    else if
-                      nd = dist.(s') && s < prev.(s')
-                      && (pop.(s') <> epoch || s' = target)
-                    then prev.(s') <- s
+                    else if nd = dist.(s') && s < prev.(s') && pop.(s') <> epoch then
+                      prev.(s') <- s
                   end
                 end
               end
@@ -298,11 +381,8 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
       end
     end
   done;
-  let result =
-    if !dist_target = infinity then None
-    else Some (reconstruct ~prev ~start ~len1 ~dst_fu ~length target, !dist_target)
-  in
-  (result, !probes)
+  if !dist_target = infinity then None
+  else Some (reconstruct ~prev ~start ~len1 ~dst_fu ~length target, !dist_target)
 
 (* ----------------------------------------------------------------- find *)
 
@@ -312,17 +392,17 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
   else if length = 0 then
     (* A zero-elapsed edge is routable exactly when producer and consumer
        share the FU: the value is consumed the cycle it is produced, over
-       no routing resources (the empty path trivially satisfies
-       chain_conflict's no-revisit invariant).  Distinct FUs would need a
-       combinational path out of an FU, which the architecture contract
-       (FU out-links have latency 1) rules out. *)
+       no routing resources (the empty path trivially satisfies the
+       no-revisit rule).  Distinct FUs would need a combinational path out
+       of an FU, which the architecture contract (FU out-links have
+       latency 1) rules out. *)
     if src_fu = dst_fu then Some ([], 0.0) else None
   else begin
     let arch = Mrrg.arch mrrg in
     let n = Plaid_arch.Arch.n_resources arch in
     let ii = Mrrg.ii mrrg in
     if not (memo_keyable ~n ~ii ~src_node) then
-      fst (search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:false)
+      search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:false
     else begin
       let soft, pf =
         match mode with Hard -> (false, 0.0) | Soft s -> (true, s.present_factor)
@@ -336,13 +416,13 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
         entry.me_result
       | _ ->
         Obs.Metrics.incr m_memo_misses;
-        let result, probes =
+        let result =
           search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record:true
         in
         if Hashtbl.length memo.memo_tbl >= memo_capacity then
           Hashtbl.reset memo.memo_tbl;
         Hashtbl.replace memo.memo_tbl key
-          { me_pf = pf; me_probes = Array.of_list probes; me_result = result };
+          (footprint (Domain.DLS.get arena_key) ~soft ~pf result);
         result
     end
   end

@@ -20,12 +20,23 @@
     decrease-key, per-domain scratch arenas reused across calls,
     latency-table pruning of states that cannot reach the target in the
     remaining budget, and an exact footprint-validated memo for repeated
-    queries. *)
+    queries.
+
+    Per relaxed edge the search reads the slot from a per-search table,
+    the FU test and base cost from the route tables, and the cell
+    ({!Mrrg.cells}) by pattern match and int comparison, allocating
+    nothing.  The no-revisit rule walks the popped state's chain once,
+    marking each (resource, slot) cell it holds with the elapsed time
+    there; a neighbour then conflicts exactly when its cell is marked at
+    another elapsed time.  A memo miss records its footprint in arena
+    buffers and stores it as three flat arrays. *)
 
 type mode =
   | Hard
   | Soft of { present_factor : float; history : float array array }
-      (** [history.(res).(slot)] is PathFinder's accumulated cost. *)
+      (** [history.(res).(slot)] is PathFinder's accumulated cost.  Both
+          must be non-negative: the search's lower bound counts every
+          step at its base cost, at least 1.0. *)
 
 type path = (int * int) list
 (** (resource, elapsed) steps between the two FUs, both excluded. *)

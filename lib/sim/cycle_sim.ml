@@ -62,7 +62,10 @@ let max_work = 1 lsl 20
 (* [trip > max_work / n] is [trip * n > max_work] without the overflow *)
 let check_work (g : Dfg.t) =
   let n = Dfg.n_nodes g in
-  let words = List.fold_left (fun acc (_, w) -> acc + w) 0 (Dfg.arrays g) in
+  let words =
+    List.fold_left (fun acc (_, w) -> if acc > max_int - w then max_int else acc + w) 0
+      (Dfg.arrays g)
+  in
   if n > 0 && g.trip > max_work / n then
     Error
       (Printf.sprintf "%s: trip %d x %d nodes exceeds the simulation bound of %d node firings"

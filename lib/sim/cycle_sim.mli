@@ -32,8 +32,9 @@ val check_work : Plaid_ir.Dfg.t -> (unit, string) result
     the most a command-line simulation admits.  The simulator and
     {!Reference} hold one value per firing, and the scratchpad holds every
     word of every array.  The largest shipped kernel (conv3x3, trip 64 x 37
-    nodes) is 2368 firings over 271 words.  Check it before allocating the
-    scratchpad. *)
+    nodes) is 2368 firings over 271 words.  Extents and their sum saturate
+    at [max_int], so a kernel whose addresses overflow is refused too.
+    Check it before allocating the scratchpad. *)
 
 val run : Plaid_mapping.Mapping.t -> Spm.t -> (stats, string) result
 (** Executes the mapping, mutating the SPM.  Errors on wire conflicts or

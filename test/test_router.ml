@@ -275,62 +275,106 @@ let reference_find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
     Some (List.filter (fun step -> step <> (dst_fu, length)) (walk target []), dist.(target))
   end
 
+(* Fabrics the router special-cases: a spatio-temporal mesh, a Plaid
+   fabric (where the hierarchical mapper routes), a clock-gated mesh (the
+   exclusive chain rule) and a faulted mesh (blocked cells, a dead FU and
+   a broken link). *)
+let plaid_2x2 =
+  lazy (Plaid_core.Pcu.build ~rows:2 ~cols:2 ~name:"plaid_2x2" ()).Plaid_core.Pcu.arch
+
+let gated4 = lazy (Mesh.build Mesh.spatial_4x4 ~name:"spatial4")
+
+let faulted4 =
+  lazy
+    (let arch = Lazy.force st4 in
+     let faults =
+       Array.to_list arch.Arch.resources
+       |> List.filter_map (fun (r : Arch.resource) ->
+              match r.kind with
+              | Arch.Reg when r.id mod 5 = 0 -> Some (Arch.Stuck_config (r.id, r.id mod 2))
+              | Arch.Port when r.id mod 11 = 0 -> Some (Arch.Broken_port r.id)
+              | _ -> None)
+     in
+     let l = arch.Arch.links.(3) in
+     Arch.set_faults arch
+       (Arch.Dead_fu arch.Arch.fus.(5) :: Arch.Broken_link (l.Arch.lsrc, l.Arch.ldst) :: faults))
+
+let fabrics =
+  [| ("st4", st4); ("plaid_2x2", plaid_2x2); ("spatial4", gated4); ("faulted4", faulted4) |]
+
 (* Identical queries against identical occupancy must give structurally
    identical (path, cost) results from [Route.find] and the reference —
-   including repeat queries (memo hits) and queries after occupancy
-   mutations (memo invalidation). *)
+   including repeat queries (memo hits), queries after occupancy
+   mutations (memo invalidation), and soft queries asked again under
+   another present factor.  Lengths up to 12 at II 1-2 hold registers for
+   II cycles or more, so the chain rule decides paths. *)
 let prop_matches_reference =
-  QCheck.Test.make ~name:"search matches the Dijkstra reference" ~count:60
+  QCheck.Test.make ~name:"search matches the Dijkstra reference" ~count:240
     QCheck.(
       make
-        ~print:(fun (a, b, l, ii, t, soft) ->
-          Printf.sprintf "src=%d dst=%d len=%d ii=%d t_src=%d soft=%b" a b l ii t soft)
+        ~print:(fun (f, a, b, l, ii, t, soft) ->
+          Printf.sprintf "fabric=%s src=%d dst=%d len=%d ii=%d t_src=%d soft=%b"
+            (fst fabrics.(f)) a b l ii t soft)
         Gen.(
           map
-            (fun ((a, b, l), (ii, t, soft)) -> (a, b, l, ii, t, soft))
-            (pair
-               (triple (int_range 0 15) (int_range 0 15) (int_range 0 8))
-               (triple (int_range 1 4) (int_range 0 3) bool))))
-    (fun (src_pe, dst_pe, len, ii, t_src, soft) ->
-      let arch = Lazy.force st4 in
+            (fun ((f, a, b), (l, ii), (t, soft)) -> (f, a, b, l, ii, t, soft))
+            (triple
+               (triple (int_range 0 3) (int_range 0 63) (int_range 0 63))
+               (oneof
+                  [ pair (int_range 0 8) (int_range 1 4); pair (int_range 4 12) (int_range 1 2) ])
+               (pair (int_range 0 3) bool))))
+    (fun (f, src_i, dst_i, len, ii, t_src, soft) ->
+      let arch = Lazy.force (snd fabrics.(f)) in
+      let fus = arch.Arch.fus in
+      let fu i = fus.(i mod Array.length fus) in
       let history =
         Array.init (Arch.n_resources arch) (fun r ->
             Array.init ii (fun s -> float_of_int (((r * 7) + (s * 3)) mod 5) *. 0.3))
       in
-      let mode =
-        if soft then Route.Soft { present_factor = 0.7; history } else Route.Hard
-      in
-      let src_fu = fu_of src_pe and dst_fu = fu_of dst_pe in
+      let soft_mode present_factor = Route.Soft { present_factor; history } in
+      let mode = if soft then soft_mode 0.7 else Route.Hard in
+      let src_fu = fu src_i and dst_fu = fu dst_i in
       let mrrg = Mrrg.create arch ~ii in
-      (* pre-congest the fabric deterministically so soft pricing and
-         sharing rules are exercised, not just empty-fabric shortest paths *)
+      (* pre-congest the fabric deterministically so soft pricing, sharing
+         and executing-node rules are exercised, not just empty-fabric
+         shortest paths *)
       List.iter
-        (fun (spe, dpe, l, node, t0) ->
+        (fun (si, di, l, node, t0) ->
           match
-            Route.find mrrg ~src_fu:(fu_of spe) ~src_node:node ~t_src:t0 ~dst_fu:(fu_of dpe)
-              ~length:l ~mode:Route.Hard
+            Route.find mrrg ~src_fu:(fu si) ~src_node:node ~t_src:t0 ~dst_fu:(fu di) ~length:l
+              ~mode:Route.Hard
           with
           | Some (p, _) -> Route.occupy_path mrrg ~src_node:node ~t_src:t0 p
           | None -> ())
-        [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2) ];
-      let agree () =
+        [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2);
+          (7, 1, 5, 15, 1) ];
+      List.iter
+        (fun (i, node, slot) ->
+          if Mrrg.fu_free mrrg ~fu:(fu i) ~slot then
+            Mrrg.place_node mrrg ~node ~fu:(fu i) ~slot)
+        [ (9, 20, 0); (2, 21, 1); (14, 22, 0) ];
+      let agree mode =
         Route.find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
         = reference_find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
       in
-      let first = agree () in
-      let repeat = agree () in
+      let first = agree mode in
+      let repeat = agree mode in
       (* mutate occupancy, then query again: the memo must notice the
          footprint change *)
       let mutated =
         match Route.find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode with
         | Some (p, _) when p <> [] ->
           Route.occupy_path mrrg ~src_node:3 ~t_src p;
-          let ok = agree () in
+          let ok = agree mode in
           Route.release_path mrrg ~src_node:3 ~t_src p;
           ok
-        | _ -> agree ()
+        | _ -> agree mode
       in
-      first && repeat && mutated)
+      (* the same soft query under another present factor: the memo must
+         not answer it from the first factor's entry where a probed cell
+         is occupied *)
+      let repriced = (not soft) || (agree (soft_mode 1.9) && agree mode) in
+      first && repeat && mutated && repriced)
 
 (* ----------------------------------------------------------------- suite *)
 

@@ -532,6 +532,11 @@ let () =
       write "words_over.plc" (wide ~dead (sim_bound - 2));
       expect_sim_refusal ~what (Printf.sprintf "%s compile -f words_over.plc -a st" plaidc))
     [ ("compile (array words)", false); ("compile (a dead load's words)", true) ];
+  (* a scale whose extent overflows an OCaml int: 15 steps of 2^61 - 1
+     wrap round to a small count unless the extent saturates *)
+  write "huge.plc" "kernel huge trip 16 { dst[i] = src[2305843009213693951*i] + 1; }\n";
+  expect_sim_refusal ~what:"compile (overflowing extent)"
+    (Printf.sprintf "%s compile -f huge.plc -a st" plaidc);
   (* the same kernel saved by map, its trip raised past the bound *)
   let lines = String.split_on_char '\n' (read_file "atax.map") in
   let nodes =
