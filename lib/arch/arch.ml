@@ -27,22 +27,24 @@ type fault =
   | Faulty_spm of string
 
 (* Derived routing acceleration tables, built lazily from the (faulted)
-   adjacency and shared by every mapper thread.  [rt_hop]/[rt_lat] are
-   all-pairs lower bounds indexed [dst * rt_n + res]; byte 255 means
+   adjacency and shared by every mapper thread.  [rt_hop]/[rt_lat] hold
+   one row of lower bounds per FU destination, the only destinations a
+   router asks about: the row of FU [dst] starts at [rt_row.(dst)], and
+   [rt_row.(res) = -1] for every non-FU resource.  Byte 255 means
    "unreachable or >= 255" (the router's max detour is far below 255, so
    the clamp never weakens a usable bound).  [rt_adj_*] is the out-link
    adjacency flattened to CSR form, preserving list order, so the search
    hot loop touches contiguous int arrays instead of chasing list cells.
-   [rt_is_fu]/[rt_cost] are per-resource kind tests and [base_route_cost]
-   values, read by the hot loop without matching on [kind]. *)
+   [rt_cost] holds the [base_route_cost] values, read by the hot loop
+   without matching on [kind]. *)
 type route_tables = {
   rt_n : int;
+  rt_row : int array;
   rt_hop : Bytes.t;
   rt_lat : Bytes.t;
   rt_adj_idx : int array;
   rt_adj_dst : int array;
   rt_adj_lat : int array;
-  rt_is_fu : bool array;
   rt_cost : float array;
 }
 
@@ -248,7 +250,7 @@ let fu_supports t id op =
   match t.resources.(id).kind with
   | Fu c ->
     List.exists (Plaid_ir.Op.equal op) c.fu_ops
-    && ((not (Plaid_ir.Op.is_memory op || op = Plaid_ir.Op.Input)) || c.fu_memory)
+    && (c.fu_memory || match op with Plaid_ir.Op.Load | Store | Input -> false | _ -> true)
   | Port | Reg -> false
 
 (* Dead FUs contribute no issue slots; ResMII must see the degraded fabric
@@ -279,53 +281,86 @@ let build_route_tables t =
   (* CSR adjacency in out_links list order (the router's exploration order
      is part of the deterministic contract, so the flattening must not
      reorder). *)
-  let degrees = Array.map List.length t.out_links in
   let rt_adj_idx = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    rt_adj_idx.(i + 1) <- rt_adj_idx.(i) + degrees.(i)
+    rt_adj_idx.(i + 1) <- rt_adj_idx.(i) + List.length t.out_links.(i)
   done;
   let m = rt_adj_idx.(n) in
   let rt_adj_dst = Array.make m 0 and rt_adj_lat = Array.make m 0 in
-  Array.iteri
-    (fun i links ->
-      List.iteri
-        (fun j (dst, lat) ->
-          rt_adj_dst.(rt_adj_idx.(i) + j) <- dst;
-          rt_adj_lat.(rt_adj_idx.(i) + j) <- lat)
-        links)
-    t.out_links;
-  (* Per destination, relax backwards over in_links.  Hops weight every
-     link 1; latency uses the link's 0/1 weight.  A work-list relaxation is
-     plenty: tables are built once per (arch, fault set) and shared. *)
-  let rt_hop = Bytes.make (n * n) (Char.chr unreachable) in
-  let rt_lat = Bytes.make (n * n) (Char.chr unreachable) in
-  let sweep table ~weight =
-    for dst = 0 to n - 1 do
-      let base = dst * n in
-      Bytes.unsafe_set table (base + dst) '\000';
-      let q = Queue.create () in
-      Queue.add dst q;
-      while not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        let dv = Char.code (Bytes.unsafe_get table (base + v)) in
-        List.iter
-          (fun (u, lat) ->
-            let du = min unreachable (dv + weight lat) in
-            if du < Char.code (Bytes.unsafe_get table (base + u)) then begin
-              Bytes.unsafe_set table (base + u) (Char.unsafe_chr du);
-              Queue.add u q
-            end)
-          t.in_links.(v)
+  for i = 0 to n - 1 do
+    let k = ref rt_adj_idx.(i) in
+    List.iter
+      (fun (dst, lat) ->
+        rt_adj_dst.(!k) <- dst;
+        rt_adj_lat.(!k) <- lat;
+        incr k)
+      t.out_links.(i)
+  done;
+  (* The same links reversed, in CSR form: [in_idx.(v) .. in_idx.(v+1)-1]
+     index the links entering [v]. *)
+  let in_idx = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let v = rt_adj_dst.(k) + 1 in
+    in_idx.(v) <- in_idx.(v) + 1
+  done;
+  for i = 0 to n - 1 do
+    in_idx.(i + 1) <- in_idx.(i + 1) + in_idx.(i)
+  done;
+  let fill = Array.sub in_idx 0 n in
+  let in_src = Array.make m 0 and in_lat = Array.make m 0 in
+  for u = 0 to n - 1 do
+    for k = rt_adj_idx.(u) to rt_adj_idx.(u + 1) - 1 do
+      let v = rt_adj_dst.(k) in
+      let j = fill.(v) in
+      in_src.(j) <- u;
+      in_lat.(j) <- rt_adj_lat.(k);
+      fill.(v) <- j + 1
+    done
+  done;
+  let rt_row = Array.make n (-1) in
+  Array.iteri (fun k fu -> rt_row.(fu) <- k * n) t.fus;
+  let rows = Array.length t.fus * n in
+  let rt_hop = Bytes.make rows (Char.chr unreachable) in
+  let rt_lat = Bytes.make rows (Char.chr unreachable) in
+  (* Per FU destination, relax backwards over the reversed links.  Hops
+     weight every link 1; latency uses the link's 0/1 weight.  A resource
+     sits in the FIFO at most once at a time, so [n] ring slots suffice. *)
+  let queue = Array.make n 0 and queued = Array.make n false in
+  let relax table ~base ~dst ~hops =
+    Bytes.unsafe_set table (base + dst) '\000';
+    queue.(0) <- dst;
+    queued.(dst) <- true;
+    let head = ref 0 and len = ref 1 in
+    while !len > 0 do
+      let v = queue.(!head) in
+      queued.(v) <- false;
+      head := if !head + 1 = n then 0 else !head + 1;
+      decr len;
+      let dv = Char.code (Bytes.unsafe_get table (base + v)) in
+      for k = in_idx.(v) to in_idx.(v + 1) - 1 do
+        let u = in_src.(k) in
+        let du = dv + if hops then 1 else in_lat.(k) in
+        let du = if du > unreachable then unreachable else du in
+        if du < Char.code (Bytes.unsafe_get table (base + u)) then begin
+          Bytes.unsafe_set table (base + u) (Char.unsafe_chr du);
+          if not queued.(u) then begin
+            queued.(u) <- true;
+            let tail = !head + !len in
+            queue.(if tail >= n then tail - n else tail) <- u;
+            incr len
+          end
+        end
       done
     done
   in
-  sweep rt_hop ~weight:(fun _ -> 1);
-  sweep rt_lat ~weight:(fun lat -> lat);
-  let rt_is_fu =
-    Array.map (fun r -> match r.kind with Fu _ -> true | Port | Reg -> false) t.resources
-  in
+  Array.iter
+    (fun dst ->
+      let base = rt_row.(dst) in
+      relax rt_hop ~base ~dst ~hops:true;
+      relax rt_lat ~base ~dst ~hops:false)
+    t.fus;
   let rt_cost = Array.init n (base_route_cost t) in
-  { rt_n = n; rt_hop; rt_lat; rt_adj_idx; rt_adj_dst; rt_adj_lat; rt_is_fu; rt_cost }
+  { rt_n = n; rt_row; rt_hop; rt_lat; rt_adj_idx; rt_adj_dst; rt_adj_lat; rt_cost }
 
 (* Lazy shared build: losing a publication race only wastes the duplicate
    work — both results are identical pure functions of the value. *)

@@ -66,21 +66,25 @@ type config_profile = {
 }
 
 (** Derived routing acceleration tables (see {!route_tables}).
-    [rt_hop]/[rt_lat] hold all-pairs lower bounds indexed [dst * rt_n + res]
-    — minimum link count, respectively minimum cycle latency, of any path
+    [rt_hop]/[rt_lat] hold one row of lower bounds per FU destination,
+    in [fus] order: the row of FU [dst] starts at offset [rt_row.(dst)],
+    so [rt_hop] at [rt_row.(dst) + res] is the minimum link count, and
+    [rt_lat] at the same offset the minimum cycle latency, of any path
     from [res] to [dst] over the faulted adjacency; byte 255 means
     unreachable (or clamped, far beyond the router's maximum detour).
-    [rt_adj_idx]/[rt_adj_dst]/[rt_adj_lat] are [out_links] flattened to CSR
-    form in list order.  [rt_is_fu.(res)] tells whether [res] is an FU and
-    [rt_cost.(res)] is {!base_route_cost}[ t res]. *)
+    Non-FU resources have no row: [rt_row.(res) = -1], which also serves
+    as the router's FU test.  Each table holds [Array.length fus * rt_n]
+    bytes.  [rt_adj_idx]/[rt_adj_dst]/[rt_adj_lat] are [out_links]
+    flattened to CSR form in list order, and [rt_cost.(res)] is
+    {!base_route_cost}[ t res]. *)
 type route_tables = private {
   rt_n : int;
+  rt_row : int array;
   rt_hop : Bytes.t;
   rt_lat : Bytes.t;
   rt_adj_idx : int array;
   rt_adj_dst : int array;
   rt_adj_lat : int array;
-  rt_is_fu : bool array;
   rt_cost : float array;
 }
 
@@ -145,7 +149,7 @@ val base_route_cost : t -> int -> float
     expensive for FU route-throughs (they burn an issue slot). *)
 
 val route_tables : t -> route_tables
-(** The all-pairs hop/latency lower bounds and CSR adjacency for this
+(** The hop/latency lower bounds to every FU and the CSR adjacency for this
     architecture's current (faulted) wiring, built on first use and cached
     on the value — repeated calls are O(1) and safe from any domain.
     {!set_faults} returns a copy with an empty cache (the adjacency

@@ -97,7 +97,7 @@ let find arch g ~ii ~times ~budget =
      {!Route.max_detour}, so it prunes too. *)
   let rt = Plaid_arch.Arch.route_tables arch in
   let min_lat_for dst_fu res =
-    Char.code (Bytes.unsafe_get rt.Plaid_arch.Arch.rt_lat ((dst_fu * rt.rt_n) + res))
+    Char.code (Bytes.unsafe_get rt.Plaid_arch.Arch.rt_lat (rt.rt_row.(dst_fu) + res))
   in
   (* edges whose both endpoints are placed once [v] is placed *)
   let ready_edges v =

@@ -77,15 +77,18 @@ let mutating t ~res ~slot f =
   f c;
   let after = presence_of c in
   if after <> before then begin
-    t.ov_total <- t.ov_total + max 0 (after - 1) - max 0 (before - 1);
+    let over p = if p > 1 then p - 1 else 0 in
+    t.ov_total <- t.ov_total + over after - over before;
     let idx = (res * slots t) + eff in
     if after >= 2 then (if before < 2 then Hashtbl.replace t.ov_cells idx ())
     else if before >= 2 then Hashtbl.remove t.ov_cells idx
   end
 
-let fu_free t ~fu ~slot =
-  let c = cell t fu slot in
-  (not (blocked t ~res:fu ~slot)) && c.exec = None && c.signals = []
+let is_empty c = match (c.exec, c.signals) with None, [] -> true | _ -> false
+
+let same_signal a b = a.s_node = b.s_node && a.s_elapsed = b.s_elapsed
+
+let fu_free t ~fu ~slot = (not (blocked t ~res:fu ~slot)) && is_empty (cell t fu slot)
 
 let place_node t ~node ~fu ~slot =
   if blocked t ~res:fu ~slot then
@@ -93,7 +96,7 @@ let place_node t ~node ~fu ~slot =
       (Printf.sprintf "Mrrg.place_node: %s slot %d is faulted"
          (Plaid_arch.Arch.resource t.m_arch fu).rname (Schedule.slot ~ii:t.m_ii slot));
   mutating t ~res:fu ~slot (fun c ->
-      if c.exec <> None || c.signals <> [] then
+      if not (is_empty c) then
         invalid_arg
           (Printf.sprintf "Mrrg.place_node: %s slot %d busy"
              (Plaid_arch.Arch.resource t.m_arch fu).rname (Schedule.slot ~ii:t.m_ii slot));
@@ -110,17 +113,16 @@ let node_at t ~fu ~slot = (cell t fu slot).exec
 let can_use t ~res ~slot signal =
   let c = cell t res slot in
   (not (blocked t ~res ~slot))
-  && c.exec = None
-  && (match c.signals with
-     | [] -> true
-     | [ (s, _) ] -> s = signal
-     | _ :: _ :: _ -> false)
+  && match (c.exec, c.signals) with
+     | None, [] -> true
+     | None, [ (s, _) ] -> same_signal s signal
+     | _ -> false
 
 let occupy t ~res ~slot signal =
   mutating t ~res ~slot (fun c ->
       let rec bump = function
         | [] -> [ (signal, 1) ]
-        | (s, n) :: rest when s = signal -> (s, n + 1) :: rest
+        | (s, n) :: rest when same_signal s signal -> (s, n + 1) :: rest
         | sn :: rest -> sn :: bump rest
       in
       c.signals <- bump c.signals)
@@ -129,8 +131,7 @@ let release t ~res ~slot signal =
   mutating t ~res ~slot (fun c ->
       let rec drop = function
         | [] -> invalid_arg "Mrrg.release: signal not present"
-        | (s, 1) :: rest when s = signal -> rest
-        | (s, n) :: rest when s = signal -> (s, n - 1) :: rest
+        | (s, n) :: rest when same_signal s signal -> if n = 1 then rest else (s, n - 1) :: rest
         | sn :: rest -> sn :: drop rest
       in
       c.signals <- drop c.signals)

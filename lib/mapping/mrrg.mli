@@ -21,9 +21,9 @@ type cell = {
 }
 (** Raw occupancy of one (resource, slot) cell.  Exposed read-only in
     spirit: all mutation must go through {!place_node} / {!occupy} /
-    {!release} so the overuse bookkeeping stays exact.  Signal lists are
-    immutable values (mutators replace the list), so holding a reference is
-    a faithful snapshot — the router's memo depends on this. *)
+    {!release} so the overuse bookkeeping stays exact.  The router reads
+    a cell as one int (what its search can observe there) and keeps no
+    reference to it. *)
 
 type ext = ..
 (** Open extension slot: higher layers attach per-MRRG state (e.g. the

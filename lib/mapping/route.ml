@@ -25,26 +25,143 @@ let reconstruct ~prev ~start ~len1 ~dst_fu ~length target =
   let full = walk target [] in
   List.filter (fun (res, elapsed) -> not (res = dst_fu && elapsed = length)) full
 
+(* ------------------------------------------------------------------ heap *)
+
+(* Indexed binary min-heap over dense state ids, ordered by the strict
+   (key, sec, id) order, so its pops are a pure function of its contents.
+   Priorities are kept in slot order next to the ids, so a sift reads
+   neighbouring floats; [push] is inlined into the search, so its float
+   arguments are never boxed.  A present id only ever moves up: the search
+   lowers a state's priority exactly when it lowers the state's distance. *)
+module Heap = struct
+  type t = {
+    mutable hkey : float array;  (* slot -> primary key *)
+    mutable hsec : float array;  (* slot -> secondary key *)
+    mutable hid : int array;     (* slot -> id *)
+    mutable pos : int array;     (* id -> slot, -1 when absent *)
+    mutable size : int;
+  }
+
+  let create () = { hkey = [||]; hsec = [||]; hid = [||]; pos = [||]; size = 0 }
+
+  let reserve h n =
+    if h.size > 0 then invalid_arg "Route.Heap.reserve: heap not empty";
+    if n > Array.length h.pos then begin
+      let cap = max n (2 * Array.length h.pos) in
+      h.hkey <- Array.make cap 0.0;
+      h.hsec <- Array.make cap 0.0;
+      h.hid <- Array.make cap 0;
+      h.pos <- Array.make cap (-1)
+    end
+
+  let[@inline] before (k1 : float) (s1 : float) (i1 : int) k2 s2 i2 =
+    k1 < k2 || (k1 = k2 && (s1 < s2 || (s1 = s2 && i1 < i2)))
+
+  (* Insert an absent id, or lower a present one: the hole starts at the
+     id's slot (or a new last slot) and rises past every larger parent. *)
+  let[@inline] push h id ~key ~sec =
+    let hkey = h.hkey and hsec = h.hsec and hid = h.hid and pos = h.pos in
+    let slot = ref pos.(id) in
+    if !slot < 0 then begin
+      slot := h.size;
+      h.size <- h.size + 1
+    end;
+    let rising = ref true in
+    while !rising && !slot > 0 do
+      let p = (!slot - 1) / 2 in
+      let pid = hid.(p) in
+      if before key sec id hkey.(p) hsec.(p) pid then begin
+        hkey.(!slot) <- hkey.(p);
+        hsec.(!slot) <- hsec.(p);
+        hid.(!slot) <- pid;
+        pos.(pid) <- !slot;
+        slot := p
+      end
+      else rising := false
+    done;
+    hkey.(!slot) <- key;
+    hsec.(!slot) <- sec;
+    hid.(!slot) <- id;
+    pos.(id) <- !slot
+
+  (* The minimum id, or -1 when empty.  The last entry falls from the
+     root past every smaller child. *)
+  let pop h =
+    if h.size = 0 then -1
+    else begin
+      let hkey = h.hkey and hsec = h.hsec and hid = h.hid and pos = h.pos in
+      let top = hid.(0) in
+      pos.(top) <- -1;
+      let n = h.size - 1 in
+      h.size <- n;
+      if n > 0 then begin
+        let key = hkey.(n) and sec = hsec.(n) and id = hid.(n) in
+        let slot = ref 0 and falling = ref true in
+        while !falling do
+          let l = (2 * !slot) + 1 in
+          if l >= n then falling := false
+          else begin
+            let c =
+              if l + 1 < n && before hkey.(l + 1) hsec.(l + 1) hid.(l + 1) hkey.(l) hsec.(l) hid.(l)
+              then l + 1
+              else l
+            in
+            if before hkey.(c) hsec.(c) hid.(c) key sec id then begin
+              let cid = hid.(c) in
+              hkey.(!slot) <- hkey.(c);
+              hsec.(!slot) <- hsec.(c);
+              hid.(!slot) <- cid;
+              pos.(cid) <- !slot;
+              slot := c
+            end
+            else falling := false
+          end
+        done;
+        hkey.(!slot) <- key;
+        hsec.(!slot) <- sec;
+        hid.(!slot) <- id;
+        pos.(id) <- !slot
+      end;
+      top
+    end
+
+  (* O(contained ids): only ids still in the heap need their slot reset. *)
+  let clear h =
+    for slot = 0 to h.size - 1 do
+      h.pos.(h.hid.(slot)) <- -1
+    done;
+    h.size <- 0
+end
+
 (* ----------------------------------------------------------- query memo *)
 
-(* A footprint records everything the search observed about each (res,
-   slot) cell it probed: its occupancy snapshot and (in soft mode) the
-   history cost in force.  Probe [i] is [me_cells.(3i)] (resource),
-   [me_cells.(3i+1)] (modulo slot), [me_cells.(3i+2)] (the executing node,
-   or [no_exec]), [me_signals.(i)] and, in soft mode only, [me_hist.(i)].
-   Signal lists are immutable values — Mrrg mutations replace the list —
-   so storing the reference is a faithful snapshot. *)
+(* What a search observes of a cell it probes, as one int.  [-2]: a node
+   executes there, so the cell is never passable.  Otherwise, in soft
+   mode, the number of distinct signals (the presence that prices the
+   step); in hard mode, [0] when empty, [1 + e] when it carries only
+   [src_node]'s value at elapsed [e] (passable exactly at [e]), and [-1]
+   otherwise (never passable). *)
+let[@inline] cell_code ~soft ~src_node (c : Mrrg.cell) =
+  match c.Mrrg.exec with
+  | Some _ -> -2
+  | None -> (
+    if soft then List.length c.Mrrg.signals
+    else
+      match c.Mrrg.signals with
+      | [] -> 0
+      | [ (sg, _) ] when sg.Mrrg.s_node = src_node -> 1 + sg.Mrrg.s_elapsed
+      | _ -> -1)
+
+(* A footprint records, for each (res, slot) cell the search probed, its
+   code and (in soft mode) the history cost in force.  Probe [i] is
+   [me_cells.(3i)] (resource), [me_cells.(3i+1)] (modulo slot),
+   [me_cells.(3i+2)] (the code) and, in soft mode only, [me_hist.(i)]. *)
 type memo_entry = {
   me_pf : float;  (* negotiation present_factor; 0.0 in hard mode *)
   me_cells : int array;
-  me_signals : (Mrrg.signal * int) list array;
   me_hist : float array;  (* empty in hard mode *)
   me_result : (path * float) option;
 }
-
-let no_exec = min_int
-
-let exec_code = function None -> no_exec | Some node -> node
 
 type memo_state = { memo_tbl : (int, memo_entry) Hashtbl.t }
 
@@ -74,30 +191,27 @@ let memo_keyable ~n ~ii ~src_node =
   n < 4096 && ii <= 1024 && src_node >= 0 && src_node < 65536
 
 (* A stored result is exactly what a fresh search would return iff every
-   cell the search probed still holds the probed values (occupancy and
-   history), and the present-congestion factor either matches or cannot
-   matter (the probed cell was empty, so [pf *. presence] is 0 either
-   way).  By induction over the search, identical probe values imply an
-   identical probe set and identical decisions throughout. *)
-let memo_valid mrrg ~mode entry =
+   cell the search probed still shows the same code and history, and the
+   present-congestion factor either matches or cannot matter (the probed
+   cell was empty or executes a node, so no [pf *. presence] term was
+   priced).  By induction over the search, identical probe values imply
+   an identical probe set and identical decisions throughout. *)
+let memo_valid mrrg ~mode ~src_node entry =
   let soft, same_pf, hist =
     match mode with
-    | Hard -> (false, entry.me_pf = 0.0, [||])
+    | Hard -> (false, true, [||])
     | Soft s -> (true, entry.me_pf = s.present_factor, s.history)
   in
   let cells = Mrrg.cells mrrg and exclusive = Mrrg.exclusive mrrg in
-  let fp = entry.me_cells and sigs = entry.me_signals in
-  let n = Array.length sigs in
+  let fp = entry.me_cells in
+  let n = Array.length fp / 3 in
   let rec ok i =
     i >= n
     ||
-    let res = fp.(3 * i) and slot = fp.((3 * i) + 1) and ex = fp.((3 * i) + 2) in
-    let c = cells.(res).(if exclusive then 0 else slot) in
-    let s = sigs.(i) in
-    (match c.Mrrg.exec with None -> ex = no_exec | Some node -> node = ex)
-    && (c.Mrrg.signals == s || c.Mrrg.signals = s)
+    let res = fp.(3 * i) and slot = fp.((3 * i) + 1) and code = fp.((3 * i) + 2) in
+    cell_code ~soft ~src_node cells.(res).(if exclusive then 0 else slot) = code
     && ((not soft) || hist.(res).(slot) = entry.me_hist.(i))
-    && (same_pf || (ex = no_exec && s = []))
+    && (same_pf || code <= 0)
     && ok (i + 1)
   in
   ok 0
@@ -125,10 +239,9 @@ type arena = {
   mutable a_chain : int array;
   mutable a_tick : int;
   mutable a_fp_cells : int array;
-  mutable a_fp_signals : (Mrrg.signal * int) list array;
   mutable a_fp_hist : float array;
   mutable a_fp_n : int;
-  a_heap : Plaid_util.Iheap.t;
+  a_heap : Heap.t;
 }
 
 let chain_span = max_detour + 1
@@ -137,8 +250,7 @@ let arena_key : arena Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { a_dist = [||]; a_prev = [||]; a_stamp = [||]; a_pop = [||]; a_cmark = [||];
         a_epoch = 0; a_slot = [||]; a_chain = [||]; a_tick = 0;
-        a_fp_cells = [||]; a_fp_signals = [||]; a_fp_hist = [||]; a_fp_n = 0;
-        a_heap = Plaid_util.Iheap.create () })
+        a_fp_cells = [||]; a_fp_hist = [||]; a_fp_n = 0; a_heap = Heap.create () })
 
 let ensure_arena a ~nstates ~ncells ~len1 =
   if Array.length a.a_stamp < nstates then begin
@@ -154,29 +266,25 @@ let ensure_arena a ~nstates ~ncells ~len1 =
     a.a_chain <- Array.make cap 0
   end;
   if Array.length a.a_slot < len1 then a.a_slot <- Array.make len1 0;
-  Plaid_util.Iheap.reserve a.a_heap nstates;
-  Plaid_util.Iheap.clear a.a_heap;
+  Heap.clear a.a_heap;
+  Heap.reserve a.a_heap nstates;
   a.a_fp_n <- 0;
   a.a_epoch <- a.a_epoch + 1
 
-let record_probe a ~soft res slot (c : Mrrg.cell) hist =
+let record_probe a ~soft res slot code (hist : float array array) =
   let i = a.a_fp_n in
-  if i = Array.length a.a_fp_signals then begin
+  if i = Array.length a.a_fp_hist then begin
     let cap = max 64 (2 * i) in
-    let cells = Array.make (3 * cap) 0 and signals = Array.make cap [] in
+    let cells = Array.make (3 * cap) 0 and h = Array.make cap 0.0 in
     Array.blit a.a_fp_cells 0 cells 0 (3 * i);
-    Array.blit a.a_fp_signals 0 signals 0 i;
+    Array.blit a.a_fp_hist 0 h 0 i;
     a.a_fp_cells <- cells;
-    a.a_fp_signals <- signals;
-    let h = Array.make cap 0.0 in
-    Array.blit a.a_fp_hist 0 h 0 (Array.length a.a_fp_hist);
     a.a_fp_hist <- h
   end;
   a.a_fp_cells.(3 * i) <- res;
   a.a_fp_cells.((3 * i) + 1) <- slot;
-  a.a_fp_cells.((3 * i) + 2) <- exec_code c.Mrrg.exec;
-  a.a_fp_signals.(i) <- c.Mrrg.signals;
-  if soft then a.a_fp_hist.(i) <- hist;
+  a.a_fp_cells.((3 * i) + 2) <- code;
+  if soft then a.a_fp_hist.(i) <- hist.(res).(slot);
   a.a_fp_n <- i + 1
 
 (* The footprint of the search just run on this domain, copied out of the
@@ -185,7 +293,6 @@ let footprint a ~soft ~pf result =
   let n = a.a_fp_n in
   { me_pf = pf;
     me_cells = Array.sub a.a_fp_cells 0 (3 * n);
-    me_signals = Array.sub a.a_fp_signals 0 n;
     me_hist = (if soft then Array.sub a.a_fp_hist 0 n else [||]);
     me_result = result }
 
@@ -194,10 +301,10 @@ let footprint a ~soft ~pf result =
    step costs >= 1.0 and the target entry is free, so [hops - 1] never
    overestimates), the latency table to prune states that cannot reach the
    target within the remaining cycle budget (such states are never on any
-   surviving prev chain), CSR adjacency, and an indexed heap with
-   decrease-key.  Each relaxation reads its slot from a per-search table
-   and tests the cell on ints.  Optionally records the probe footprint
-   for the memo in the arena.
+   surviving prev chain), CSR adjacency, and the indexed heap above.  Each
+   relaxation reads its slot from a per-search table and tests the cell
+   by its code.  Optionally records the probe footprint for the memo in
+   the arena.
 
    A path must not reuse a (resource, slot) cell at a different elapsed
    time: the value would collide with itself one iteration apart (e.g. a
@@ -216,7 +323,7 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
   let rt = Plaid_arch.Arch.route_tables arch in
   let adj_idx = rt.Plaid_arch.Arch.rt_adj_idx and adj_dst = rt.Plaid_arch.Arch.rt_adj_dst
   and adj_lat = rt.Plaid_arch.Arch.rt_adj_lat and rt_lat = rt.Plaid_arch.Arch.rt_lat
-  and rt_hop = rt.Plaid_arch.Arch.rt_hop and is_fu = rt.Plaid_arch.Arch.rt_is_fu
+  and rt_hop = rt.Plaid_arch.Arch.rt_hop and rt_row = rt.Plaid_arch.Arch.rt_row
   and base_cost = rt.Plaid_arch.Arch.rt_cost in
   let len1 = length + 1 in
   let nstates = n * len1 in
@@ -243,10 +350,10 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
     slot_of.(e) <- Schedule.slot ~ii (t_src + e)
   done;
   let heap = a.a_heap in
-  let lat_base = dst_fu * n and hop_base = dst_fu * n in
+  let row = rt_row.(dst_fu) in
   let[@inline] h res =
-    let hops = Char.code (Bytes.unsafe_get rt_hop (hop_base + res)) in
-    float_of_int (max 0 (hops - 1))
+    let hops = Char.code (Bytes.unsafe_get rt_hop (row + res)) in
+    float_of_int (if hops > 1 then hops - 1 else 0)
   in
   let start = src_fu * len1 in
   let target = (dst_fu * len1) + length in
@@ -254,11 +361,11 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
   dist.(start) <- 0.0;
   prev.(start) <- -1;
   pop.(start) <- 0;
-  Plaid_util.Iheap.insert heap start ~key:(h src_fu) ~sec:0.0;
+  Heap.push heap start ~key:(h src_fu) ~sec:0.0;
   let dist_target = ref infinity in
   let finished = ref false in
   while not !finished do
-    let s = Plaid_util.Iheap.pop heap in
+    let s = Heap.pop heap in
     if s < 0 then finished := true
     else begin
       let g = dist.(s) in
@@ -294,26 +401,23 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                   dist.(s') <- g;
                   prev.(s') <- s;
                   dist_target := g;
-                  let key = g +. h dst in
-                  if Plaid_util.Iheap.contains heap s' then
-                    Plaid_util.Iheap.decrease heap s' ~key ~sec:g
-                  else Plaid_util.Iheap.insert heap s' ~key ~sec:g
+                  Heap.push heap s' ~key:(g +. h dst) ~sec:g
                 end
                 else if g = dist.(s') && s < prev.(s') then prev.(s') <- s
               end
               else if
-                Char.code (Bytes.unsafe_get rt_lat (lat_base + dst)) <= length - e'
-                && (fu_ok || not (Array.unsafe_get is_fu dst))
+                Char.code (Bytes.unsafe_get rt_lat (row + dst)) <= length - e'
+                && (fu_ok || Array.unsafe_get rt_row dst < 0)
               then begin
                 let slot = slot_of.(e') in
                 let cslot = if exclusive then 0 else slot in
-                let c = cells.(dst).(cslot) in
+                let code = cell_code ~soft ~src_node cells.(dst).(cslot) in
                 let cell_hist = if soft then hist.(dst).(slot) else 0.0 in
                 if record then begin
                   let p = (dst * ii) + slot in
                   if cmark.(p) <> epoch then begin
                     cmark.(p) <- epoch;
-                    record_probe a ~soft dst slot c cell_hist
+                    record_probe a ~soft dst slot code hist
                   end
                 end;
                 (* Faulted cells and cells where a node executes are never
@@ -322,13 +426,7 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                    sharing); soft mode opens every other wire at a price. *)
                 let free =
                   (not blocked.(dst).(cslot))
-                  && (match c.Mrrg.exec with None -> true | Some _ -> false)
-                  && (soft
-                     ||
-                     match c.Mrrg.signals with
-                     | [] -> true
-                     | [ (sg, _) ] -> sg.Mrrg.s_node = src_node && sg.Mrrg.s_elapsed = e'
-                     | _ :: _ :: _ -> false)
+                  && if soft then code >= 0 else code = 0 || code = e' + 1
                 in
                 if free then begin
                   if !mark = 0 then begin
@@ -348,10 +446,9 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                     let base = Array.unsafe_get base_cost dst in
                     let cost =
                       if soft then
-                        (* [free] means no node executes here, so presence
-                           is the number of distinct signals. *)
-                        let present = float_of_int (List.length c.Mrrg.signals) in
-                        (base *. (1.0 +. (present_factor *. present))) +. cell_hist
+                        (* [free] means no node executes here, so the code
+                           is the presence: the number of distinct signals. *)
+                        (base *. (1.0 +. (present_factor *. float_of_int code))) +. cell_hist
                       else base
                     in
                     let nd = g +. cost in
@@ -365,10 +462,7 @@ let search mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode ~record =
                     if nd < dist.(s') then begin
                       dist.(s') <- nd;
                       prev.(s') <- s;
-                      let key = nd +. h dst in
-                      if Plaid_util.Iheap.contains heap s' then
-                        Plaid_util.Iheap.decrease heap s' ~key ~sec:nd
-                      else Plaid_util.Iheap.insert heap s' ~key ~sec:nd
+                      Heap.push heap s' ~key:(nd +. h dst) ~sec:nd
                     end
                     else if nd = dist.(s') && s < prev.(s') && pop.(s') <> epoch then
                       prev.(s') <- s
@@ -411,7 +505,7 @@ let find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length ~mode =
       let key = memo_key ~soft ~src_fu ~dst_fu ~length ~slot0 ~src_node in
       let memo = memo_of mrrg in
       match Hashtbl.find_opt memo.memo_tbl key with
-      | Some entry when memo_valid mrrg ~mode entry ->
+      | Some entry when memo_valid mrrg ~mode ~src_node entry ->
         Obs.Metrics.incr m_memo_hits;
         entry.me_result
       | _ ->

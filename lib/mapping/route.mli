@@ -16,20 +16,33 @@
     {2 Search}
 
     {!find} runs A* over the architecture's precomputed hop-distance lower
-    bounds ({!Plaid_arch.Arch.route_tables}), with an indexed heap with
-    decrease-key, per-domain scratch arenas reused across calls,
-    latency-table pruning of states that cannot reach the target in the
-    remaining budget, and an exact footprint-validated memo for repeated
-    queries.
+    bounds ({!Plaid_arch.Arch.route_tables}, one row per FU destination),
+    with the indexed heap {!Heap}, per-domain scratch arenas reused across
+    calls, latency-table pruning of states that cannot reach the target in
+    the remaining budget, and an exact footprint-validated memo for
+    repeated queries.
 
     Per relaxed edge the search reads the slot from a per-search table,
     the FU test and base cost from the route tables, and the cell
-    ({!Mrrg.cells}) by pattern match and int comparison, allocating
-    nothing.  The no-revisit rule walks the popped state's chain once,
-    marking each (resource, slot) cell it holds with the elapsed time
-    there; a neighbour then conflicts exactly when its cell is marked at
-    another elapsed time.  A memo miss records its footprint in arena
-    buffers and stores it as three flat arrays. *)
+    ({!Mrrg.cells}) as one int code, allocating nothing; heap pushes are
+    inlined, so no priority is boxed.  The no-revisit rule walks the
+    popped state's chain once, marking each (resource, slot) cell it holds
+    with the elapsed time there; a neighbour then conflicts exactly when
+    its cell is marked at another elapsed time.
+
+    {2 Memo}
+
+    A search records, for every (resource, slot) cell it probes, one int
+    code of what it can observe there: [-2] when a node executes there;
+    in hard mode [0] when empty, [1 + e] when the only signal is this
+    producer's value at elapsed [e], and [-1] otherwise; in soft mode the
+    number of distinct signals, plus the history cost in force.  A repeat
+    query is answered from the memo when every probed cell still shows
+    its code (and history), and the present factor is unchanged or was
+    never priced.  Equal codes imply the same search, so the answer is
+    the one a fresh search would give; a change the search cannot see
+    (a refcount bump, or one foreign signal swapped for another on a
+    closed cell) costs no search. *)
 
 type mode =
   | Hard
@@ -66,6 +79,28 @@ val find :
 val occupy_path : Mrrg.t -> src_node:int -> t_src:int -> path -> unit
 
 val release_path : Mrrg.t -> src_node:int -> t_src:int -> path -> unit
+
+(** The router's indexed binary min-heap over dense ids [0 .. n-1],
+    exposed for its tests.  Pops follow the strict [(key, sec, id)] order,
+    so they are a pure function of the contents. *)
+module Heap : sig
+  type t
+
+  val create : unit -> t
+
+  val reserve : t -> int -> unit
+  (** [reserve h n] makes ids [0 .. n-1] addressable.
+      @raise Invalid_argument unless the heap is empty. *)
+
+  val push : t -> int -> key:float -> sec:float -> unit
+  (** Insert an absent id, or lower a present id's priority: a present
+      id's new [(key, sec)] must not exceed its current one. *)
+
+  val pop : t -> int
+  (** Remove and return the minimum id, or [-1] when empty. *)
+
+  val clear : t -> unit
+end
 
 val max_detour : int
 (** Router gives up on lengths beyond this (schedule too loose to be

@@ -56,7 +56,7 @@ let release_edge t i =
     mark_unrouted t i
 
 let route_edge t i =
-  assert (t.paths.(i) = None);
+  assert (match t.paths.(i) with None -> true | Some _ -> false);
   let e = t.g.Dfg.edges.(i) in
   let ii = Mrrg.ii t.mrrg in
   let length = t.times.(e.dst) - t.times.(e.src) + (e.dist * ii) in
@@ -85,10 +85,10 @@ let route_edge t i =
     true
 
 let route_all t =
-  Array.iteri (fun i p -> if p = None then ignore (route_edge t i)) t.paths
+  Array.iteri (fun i p -> match p with None -> ignore (route_edge t i) | Some _ -> ()) t.paths
 
 let restore_edge t i path cost =
-  assert (t.paths.(i) = None);
+  assert (match t.paths.(i) with None -> true | Some _ -> false);
   let e = t.g.Dfg.edges.(i) in
   Route.occupy_path t.mrrg ~src_node:e.src ~t_src:t.times.(e.src) path;
   t.paths.(i) <- Some path;

@@ -1,4 +1,5 @@
 open Plaid_ir
+module Int_set = Set.Make (Int)
 
 type buffer = { buf_array : string; buf_init : int; buf_len : int }
 
@@ -79,20 +80,20 @@ let pack g ~budget_nodes ~budget_memory =
   (* Kahn's algorithm, always releasing the ready SCC whose earliest member
      comes first in program order: keeps each producer-consumer chain (e.g.
      one unrolled copy) contiguous so cuts cross few edges.  First members
-     are distinct per SCC, so the pop order is total. *)
+     are distinct per SCC, so the ready set holds them and names its SCC
+     by [comp]. *)
   let first_member = Array.map (fun ms -> List.fold_left min max_int ms) members in
-  let ready = Plaid_util.Iheap.create () in
-  Plaid_util.Iheap.reserve ready n_comp;
-  let release c =
-    Plaid_util.Iheap.insert ready c ~key:(float_of_int first_member.(c)) ~sec:0.0
-  in
+  let ready = ref Int_set.empty in
+  let release c = ready := Int_set.add first_member.(c) !ready in
   Array.iteri (fun c d -> if d = 0 then release c) indeg;
   let order = ref [] in
   let continue_ = ref true in
   while !continue_ do
-    match Plaid_util.Iheap.pop ready with
-    | -1 -> continue_ := false
-    | c ->
+    match Int_set.min_elt_opt !ready with
+    | None -> continue_ := false
+    | Some first ->
+      ready := Int_set.remove first !ready;
+      let c = comp.(first) in
       order := c :: !order;
       List.iter
         (fun v ->

@@ -1,4 +1,4 @@
-(* Router tests: indexed-heap properties against a reference model,
+(* Router tests: the router heap's properties against a reference model,
    zero-length route semantics, the architecture route tables, and a
    differential check of [Route.find] (A* + memo) against a plain
    lazy-deletion Dijkstra reference kept here in the test suite. *)
@@ -6,7 +6,6 @@
 open Plaid_mapping
 module Arch = Plaid_arch.Arch
 module Mesh = Plaid_arch.Mesh
-module Iheap = Plaid_util.Iheap
 
 let check = Alcotest.check
 
@@ -15,7 +14,9 @@ let st4 = lazy (Mesh.build Mesh.spatio_temporal_4x4 ~name:"st4")
 let fu_of pe =
   Mesh.fu_of_pe Mesh.spatio_temporal_4x4 ~row:(pe / 4) ~col:(pe mod 4)
 
-(* ----------------------------------------------------------------- iheap *)
+(* ------------------------------------------------------------------ heap *)
+
+module Heap = Route.Heap
 
 (* reference model: id -> (key, sec), minimum under (key, sec, id) *)
 let model_min model =
@@ -26,7 +27,9 @@ let model_min model =
       | _ -> Some (k, s, id))
     model None
 
-let prop_iheap_matches_model =
+(* Keys [k / 4] and secs [k mod 4] make equal-key pushes with a smaller
+   sec common, the decrease case the router's tie rule leans on. *)
+let prop_heap_matches_model =
   QCheck.Test.make ~name:"indexed heap agrees with a reference model" ~count:300
     QCheck.(
       make
@@ -35,28 +38,28 @@ let prop_iheap_matches_model =
             (List.map (fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c) ops))
         Gen.(list_size (int_range 1 80) (triple (int_range 0 24) (int_range 0 40) (int_range 0 3))))
     (fun ops ->
-      let h = Iheap.create () in
+      let h = Heap.create () in
+      Heap.reserve h 25;
       let model = Hashtbl.create 16 in
       List.for_all
         (fun (id, k, kind) ->
           let key = float_of_int (k / 4) and sec = float_of_int (k mod 4) in
-          match kind with
-          | 0 | 1 ->
-            Iheap.insert h id ~key ~sec;
+          match (kind, Hashtbl.find_opt model id) with
+          | (0 | 1), None ->
+            (* insert an absent id *)
+            Heap.push h id ~key ~sec;
             Hashtbl.replace model id (key, sec);
-            Iheap.contains h id && Iheap.key h id = key
-          | 2 ->
-            if Iheap.contains h id then begin
-              Iheap.decrease h id ~key ~sec;
-              (match Hashtbl.find_opt model id with
-              | Some (k0, s0) when (key, sec) <= (k0, s0) ->
-                Hashtbl.replace model id (key, sec)
-              | _ -> ());
-              true
-            end
-            else true
+            true
+          | (0 | 1 | 2), Some (k0, s0) ->
+            (* lower a present id; a push may never raise one *)
+            if (key, sec) <= (k0, s0) then begin
+              Heap.push h id ~key ~sec;
+              Hashtbl.replace model id (key, sec)
+            end;
+            true
+          | 2, None -> true
           | _ -> (
-            let got = Iheap.pop h in
+            let got = Heap.pop h in
             match model_min model with
             | None -> got = -1
             | Some (_, _, id) ->
@@ -68,7 +71,7 @@ let prop_iheap_matches_model =
            empty the model *)
         let ok = ref true in
         let rec drain () =
-          match Iheap.pop h with
+          match Heap.pop h with
           | -1 -> ok := Hashtbl.length model = 0 && !ok
           | id ->
             (match model_min model with
@@ -80,27 +83,37 @@ let prop_iheap_matches_model =
         !ok
       end)
 
-let prop_iheap_clear_reuse =
+let prop_heap_clear_reuse =
   QCheck.Test.make ~name:"cleared heap reproduces a fresh heap's pops" ~count:100
     QCheck.(make Gen.(list_size (int_range 1 40) (pair (int_range 0 30) (int_range 0 9))))
     (fun items ->
+      (* the first push of each id, then only the decreases *)
       let fill h =
+        let seen = Hashtbl.create 16 in
         List.iter
           (fun (id, k) ->
-            Iheap.insert h id ~key:(float_of_int k) ~sec:(float_of_int (id mod 3)))
+            let key = float_of_int k and sec = float_of_int (id mod 3) in
+            match Hashtbl.find_opt seen id with
+            | Some k0 when k0 < key -> ()
+            | _ ->
+              Hashtbl.replace seen id key;
+              Heap.push h id ~key ~sec)
           items
       in
       let drain h =
-        let rec go acc = match Iheap.pop h with -1 -> List.rev acc | id -> go (id :: acc) in
+        let rec go acc = match Heap.pop h with -1 -> List.rev acc | id -> go (id :: acc) in
         go []
       in
-      let fresh = Iheap.create () in
+      let fresh = Heap.create () in
+      Heap.reserve fresh 31;
       fill fresh;
-      let reused = Iheap.create () in
+      let reused = Heap.create () in
+      Heap.reserve reused 8;
+      Heap.reserve reused 31;
       fill reused;
       (* leave some entries live, then clear mid-flight *)
-      ignore (Iheap.pop reused);
-      Iheap.clear reused;
+      ignore (Heap.pop reused);
+      Heap.clear reused;
       fill reused;
       drain fresh = drain reused)
 
@@ -126,23 +139,26 @@ let test_route_length_zero () =
 (* ----------------------------------------------------------- route tables *)
 
 (* the hop/latency lower bounds must be consistent with the link graph:
-   0 on the diagonal, and within one link step of the successor's bound *)
+   0 on the diagonal of every FU row, and within one link step of the
+   successor's bound *)
 let test_route_tables_consistent () =
   let arch = Lazy.force st4 in
   let rt = Arch.route_tables arch in
   let n = Arch.n_resources arch in
   check Alcotest.int "table covers every resource" n rt.Arch.rt_n;
-  for dst = 0 to n - 1 do
-    check Alcotest.int "self distance is zero" 0
-      (Char.code (Bytes.get rt.Arch.rt_hop ((dst * n) + dst)))
-  done;
+  Array.iter
+    (fun dst ->
+      check Alcotest.int "self distance is zero" 0
+        (Char.code (Bytes.get rt.Arch.rt_hop (rt.Arch.rt_row.(dst) + dst))))
+    arch.Arch.fus;
   let dst = fu_of 0 in
+  let row = rt.Arch.rt_row.(dst) in
   for res = 0 to n - 1 do
-    let hop = Char.code (Bytes.get rt.Arch.rt_hop ((dst * n) + res)) in
+    let hop = Char.code (Bytes.get rt.Arch.rt_hop (row + res)) in
     if hop <> 255 then
       List.iter
         (fun (succ, _lat) ->
-          let hs = Char.code (Bytes.get rt.Arch.rt_hop ((dst * n) + succ)) in
+          let hs = Char.code (Bytes.get rt.Arch.rt_hop (row + succ)) in
           if hs <> 255 then
             check Alcotest.bool "triangle inequality over links" true (hop <= hs + 1))
         arch.Arch.out_links.(res)
@@ -167,9 +183,78 @@ let test_route_tables_consistent () =
   let faulted = Arch.set_faults arch [ Arch.Broken_link (src, link_dst) ] in
   let rt' = Arch.route_tables faulted in
   check Alcotest.int "dead-end source unreachable in faulted tables" 255
-    (Char.code (Bytes.get rt'.Arch.rt_hop ((dst * n) + src)));
+    (Char.code (Bytes.get rt'.Arch.rt_hop (rt'.Arch.rt_row.(dst) + src)));
   check Alcotest.bool "original tables unaffected by set_faults" true
-    (Char.code (Bytes.get rt.Arch.rt_hop ((dst * n) + src)) <> 255)
+    (Char.code (Bytes.get rt.Arch.rt_hop (row + src)) <> 255)
+
+(* Every FU row of both tables equals a plain per-destination relaxation
+   over [in_links] (Bellman-Ford to a fixpoint, clamped at 255); only FU
+   destinations have rows, in [fus] order, and nothing else does. *)
+let check_route_rows label arch =
+  let rt = Arch.route_tables arch in
+  let n = Arch.n_resources arch in
+  let fus = arch.Arch.fus in
+  check Alcotest.int (label ^ ": hop table size") (Array.length fus * n)
+    (Bytes.length rt.Arch.rt_hop);
+  check Alcotest.int (label ^ ": latency table size") (Array.length fus * n)
+    (Bytes.length rt.Arch.rt_lat);
+  let relax dst ~hops =
+    let d = Array.make n 255 in
+    d.(dst) <- 0;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for v = 0 to n - 1 do
+        if d.(v) < 255 then
+          List.iter
+            (fun (u, lat) ->
+              let du = min 255 (d.(v) + if hops then 1 else lat) in
+              if du < d.(u) then begin
+                d.(u) <- du;
+                changed := true
+              end)
+            arch.Arch.in_links.(v)
+      done
+    done;
+    d
+  in
+  Array.iteri
+    (fun k dst ->
+      let row = rt.Arch.rt_row.(dst) in
+      check Alcotest.int (label ^ ": row offset") (k * n) row;
+      let hop = relax dst ~hops:true and lat = relax dst ~hops:false in
+      for res = 0 to n - 1 do
+        if Char.code (Bytes.get rt.Arch.rt_hop (row + res)) <> hop.(res)
+           || Char.code (Bytes.get rt.Arch.rt_lat (row + res)) <> lat.(res)
+        then
+          Alcotest.failf "%s: row of %s disagrees at %s" label
+            (Arch.resource arch dst).Arch.rname (Arch.resource arch res).Arch.rname
+      done)
+    fus;
+  Array.iteri
+    (fun res row ->
+      match (Arch.resource arch res).Arch.kind with
+      | Arch.Fu _ -> ()
+      | Arch.Port | Arch.Reg ->
+        check Alcotest.int (label ^ ": non-FU has no row") (-1) row)
+    rt.Arch.rt_row
+
+let test_route_rows_match_relaxation () =
+  let fabric f = (Plaid_core.Fabrics.build f).Plaid_core.Fabrics.arch in
+  let st4 = Lazy.force st4 in
+  check_route_rows "st4" st4;
+  check_route_rows "plaid_2x2" (fabric Plaid_core.Fabrics.Plaid);
+  check_route_rows "plaid_ml" (fabric Plaid_core.Fabrics.Plaid_ml);
+  (match Plaid_dse.Space.find_preset "paper" with
+  | None -> Alcotest.fail "no paper preset"
+  | Some space ->
+    List.iter
+      (fun c ->
+        check_route_rows (Plaid_dse.Space.name c) (Plaid_dse.Space.build c).Plaid_dse.Space.arch)
+      space.Plaid_dse.Space.candidates);
+  let l = st4.Arch.links.(7) in
+  check_route_rows "st4 broken link"
+    (Arch.set_faults st4 [ Arch.Broken_link (l.Arch.lsrc, l.Arch.ldst) ])
 
 (* --------------------------------------------------- reference router *)
 
@@ -302,6 +387,29 @@ let faulted4 =
 let fabrics =
   [| ("st4", st4); ("plaid_2x2", plaid_2x2); ("spatial4", gated4); ("faulted4", faulted4) |]
 
+(* An MRRG pre-congested deterministically, so soft pricing, sharing and
+   executing-node rules are exercised, not just empty-fabric shortest
+   paths: five hard-routed values of nodes 11-15 and three placed nodes. *)
+let congested arch ~ii =
+  let fus = arch.Arch.fus in
+  let fu i = fus.(i mod Array.length fus) in
+  let mrrg = Mrrg.create arch ~ii in
+  List.iter
+    (fun (si, di, l, node, t0) ->
+      match
+        Route.find mrrg ~src_fu:(fu si) ~src_node:node ~t_src:t0 ~dst_fu:(fu di) ~length:l
+          ~mode:Route.Hard
+      with
+      | Some (p, _) -> Route.occupy_path mrrg ~src_node:node ~t_src:t0 p
+      | None -> ())
+    [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2);
+      (7, 1, 5, 15, 1) ];
+  List.iter
+    (fun (i, node, slot) ->
+      if Mrrg.fu_free mrrg ~fu:(fu i) ~slot then Mrrg.place_node mrrg ~node ~fu:(fu i) ~slot)
+    [ (9, 20, 0); (2, 21, 1); (14, 22, 0) ];
+  mrrg
+
 (* Identical queries against identical occupancy must give structurally
    identical (path, cost) results from [Route.find] and the reference —
    including repeat queries (memo hits), queries after occupancy
@@ -334,25 +442,7 @@ let prop_matches_reference =
       let soft_mode present_factor = Route.Soft { present_factor; history } in
       let mode = if soft then soft_mode 0.7 else Route.Hard in
       let src_fu = fu src_i and dst_fu = fu dst_i in
-      let mrrg = Mrrg.create arch ~ii in
-      (* pre-congest the fabric deterministically so soft pricing, sharing
-         and executing-node rules are exercised, not just empty-fabric
-         shortest paths *)
-      List.iter
-        (fun (si, di, l, node, t0) ->
-          match
-            Route.find mrrg ~src_fu:(fu si) ~src_node:node ~t_src:t0 ~dst_fu:(fu di) ~length:l
-              ~mode:Route.Hard
-          with
-          | Some (p, _) -> Route.occupy_path mrrg ~src_node:node ~t_src:t0 p
-          | None -> ())
-        [ (0, 5, 2, 11, 0); (5, 10, 3, 12, 1); (3, 0, 4, 13, 0); (12, 15, 2, 14, 2);
-          (7, 1, 5, 15, 1) ];
-      List.iter
-        (fun (i, node, slot) ->
-          if Mrrg.fu_free mrrg ~fu:(fu i) ~slot then
-            Mrrg.place_node mrrg ~node ~fu:(fu i) ~slot)
-        [ (9, 20, 0); (2, 21, 1); (14, 22, 0) ];
+      let mrrg = congested arch ~ii in
       let agree mode =
         Route.find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
         = reference_find mrrg ~src_fu ~src_node:3 ~t_src ~dst_fu ~length:len ~mode
@@ -376,6 +466,119 @@ let prop_matches_reference =
       let repriced = (not soft) || (agree (soft_mode 1.9) && agree mode) in
       first && repeat && mutated && repriced)
 
+(* The memo answers a repeat query exactly when no probed cell changed in
+   a way the search can observe.  Starting from the query's own path P
+   (node 3's value, first step (r, e)), in hard and soft mode:
+   - a foreign signal taking P's first cell is observable: a miss;
+   - a second reference to every cell of an occupied P is not: a hit;
+   - moving node 3's signal on r from elapsed e to e + II (the same slot)
+     is observable only in hard mode, where sharing needs the same
+     elapsed: a miss there, a hit in soft mode, which prices presence;
+   - one foreign signal swapped for another on a cell holding only that
+     signal is not: a hit.
+   Every answer must also equal the reference router's. *)
+let prop_memo_observes =
+  let module Metrics = Plaid_obs.Metrics in
+  QCheck.Test.make ~name:"memo answers what the search cannot observe" ~count:200
+    QCheck.(
+      make
+        ~print:(fun (f, a, b, l, ii, t, soft) ->
+          Printf.sprintf "fabric=%s src=%d dst=%d len=%d ii=%d t_src=%d soft=%b"
+            (fst fabrics.(f)) a b l ii t soft)
+        Gen.(
+          map
+            (fun ((f, a, b), (l, ii), (t, soft)) -> (f, a, b, l, ii, t, soft))
+            (triple
+               (triple (int_range 0 3) (int_range 0 63) (int_range 0 63))
+               (pair (int_range 1 8) (int_range 1 4))
+               (pair (int_range 0 3) bool))))
+    (fun (f, src_i, dst_i, len, ii, t_src, soft) ->
+      let arch = Lazy.force (snd fabrics.(f)) in
+      let fus = arch.Arch.fus in
+      let src_fu = fus.(src_i mod Array.length fus) and dst_fu = fus.(dst_i mod Array.length fus) in
+      let history =
+        Array.init (Arch.n_resources arch) (fun r ->
+            Array.init ii (fun s -> float_of_int (((r * 5) + s) mod 4) *. 0.4))
+      in
+      let mode = if soft then Route.Soft { present_factor = 0.9; history } else Route.Hard in
+      let mrrg = congested arch ~ii in
+      let src_node = 3 in
+      let hits () =
+        Option.value ~default:0
+          (List.assoc_opt "route/memo_hits" (Metrics.snapshot ()).Metrics.counters)
+      in
+      (* [Some hit] for one query, [None] when it disagrees with the
+         reference *)
+      let ask () =
+        let before = hits () in
+        let got = Route.find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length:len ~mode in
+        let hit = hits () = before + 1 in
+        if got = reference_find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length:len ~mode then
+          Some hit
+        else None
+      in
+      let signal node e = { Mrrg.s_node = node; s_elapsed = e } in
+      let occupy (r, e) node = Mrrg.occupy mrrg ~res:r ~slot:(t_src + e) (signal node e)
+      and release (r, e) node = Mrrg.release mrrg ~res:r ~slot:(t_src + e) (signal node e) in
+      let own_path_cases first =
+        match first with
+        | Some (((r, e) :: _ as p), _) ->
+          occupy (r, e) 97;
+          let taken = ask () = Some false in
+          release (r, e) 97;
+          Route.occupy_path mrrg ~src_node ~t_src p;
+          let settled = ask () <> None in
+          Route.occupy_path mrrg ~src_node ~t_src p;
+          let bumped = ask () = Some true in
+          Route.release_path mrrg ~src_node ~t_src p;
+          release (r, e) src_node;
+          Mrrg.occupy mrrg ~res:r ~slot:(t_src + e) (signal src_node (e + ii));
+          let moved = ask () = Some soft in
+          Mrrg.release mrrg ~res:r ~slot:(t_src + e) (signal src_node (e + ii));
+          occupy (r, e) src_node;
+          taken && settled && bumped && moved
+        | _ -> true
+      in
+      (* one foreign signal of the first cell that holds only that signal *)
+      let swap_case () =
+        let cells = Mrrg.cells mrrg in
+        let lone = ref None in
+        Array.iteri
+          (fun r row ->
+            Array.iteri
+              (fun slot (c : Mrrg.cell) ->
+                match (!lone, c.Mrrg.exec, c.Mrrg.signals) with
+                | None, None, [ (sg, n) ] when sg.Mrrg.s_node <> src_node ->
+                  lone := Some (r, slot, sg, n)
+                | _ -> ())
+              row)
+          cells;
+        match !lone with
+        | None -> true
+        | Some (r, slot, sg, n) ->
+          let settled = ask () <> None in
+          let other = { sg with Mrrg.s_node = 96 } in
+          for _ = 1 to n do
+            Mrrg.release mrrg ~res:r ~slot sg
+          done;
+          Mrrg.occupy mrrg ~res:r ~slot other;
+          let swapped = ask () = Some true in
+          Mrrg.release mrrg ~res:r ~slot other;
+          for _ = 1 to n do
+            Mrrg.occupy mrrg ~res:r ~slot sg
+          done;
+          settled && swapped
+      in
+      let was = Metrics.enabled () in
+      Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Metrics.set_enabled was)
+        (fun () ->
+          let first = Route.find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length:len ~mode in
+          first = reference_find mrrg ~src_fu ~src_node ~t_src ~dst_fu ~length:len ~mode
+          && own_path_cases first
+          && swap_case ()))
+
 (* ----------------------------------------------------------------- suite *)
 
 let suites =
@@ -383,6 +586,9 @@ let suites =
       [ Alcotest.test_case "zero-length routes" `Quick test_route_length_zero;
         Alcotest.test_case "route tables consistent with links" `Quick
           test_route_tables_consistent;
-        Test_qc.to_alcotest prop_iheap_matches_model;
-        Test_qc.to_alcotest prop_iheap_clear_reuse;
-        Test_qc.to_alcotest prop_matches_reference ] ) ]
+        Alcotest.test_case "route table rows match a plain relaxation" `Quick
+          test_route_rows_match_relaxation;
+        Test_qc.to_alcotest prop_heap_matches_model;
+        Test_qc.to_alcotest prop_heap_clear_reuse;
+        Test_qc.to_alcotest prop_matches_reference;
+        Test_qc.to_alcotest prop_memo_observes ] ) ]
