@@ -283,13 +283,9 @@ let fig18 ctx =
   let outer = Ctx.outer ctx in
   Ascii.heading "Figure 18: Plaid mapper vs generic mappers on the Plaid fabric";
   let rows = ref [] and vs_pf = ref [] and vs_sa = ref [] in
-  let t_hier = ref 0.0 and t_generic = ref 0.0 in
   List.iter
     (fun e ->
-      let t0 = Plaid_obs.Trace.Clock.now_ns () in
-      let hier = Ctx.map ctx Fabrics.Plaid e in
-      t_hier := !t_hier +. Plaid_obs.Trace.Clock.seconds_since t0;
-      match hier with
+      match Ctx.map ctx Fabrics.Plaid e with
       | None -> ()
       | Some hm ->
         let hc = Energy.cycles ~outer (Modulo hm) in
@@ -298,10 +294,8 @@ let fig18 ctx =
             Some (float_of_int (Energy.cycles ~outer (Modulo m)) /. float_of_int hc)
           | None -> None
         in
-        let t1 = Plaid_obs.Trace.Clock.now_ns () in
         let pf = ratio (Ctx.map_plaid_generic ctx `Pf e) in
         let sa = ratio (Ctx.map_plaid_generic ctx `Sa e) in
-        t_generic := !t_generic +. Plaid_obs.Trace.Clock.seconds_since t1;
         (match pf with Some r -> vs_pf := r :: !vs_pf | None -> ());
         (match sa with Some r -> vs_sa := r :: !vs_sa | None -> ());
         rows :=
@@ -314,7 +308,6 @@ let fig18 ctx =
   let gpf = Ascii.geomean !vs_pf and gsa = Ascii.geomean !vs_sa in
   Ascii.printf "\nPlaid mapper speedup: %.2fx over PathFinder (paper: 1.25x), %.2fx over SA (paper: 1.28x)\n"
     gpf gsa;
-  ignore (!t_hier, !t_generic);
   [ ("vs_pathfinder", gpf); ("vs_sa", gsa) ]
 
 let fig19 ctx =
@@ -366,23 +359,21 @@ let fig19 ctx =
 
 (* --- utilization -------------------------------------------------------- *)
 
-(* classes that constitute "the router" on each fabric *)
-let comm_classes = [ "router_port"; "out_reg"; "local_port"; "global_port"; "global_out_reg" ]
-
 let utilization ctx =
   Ascii.heading "Routing-resource utilization (Section 3.1's overprovisioning argument)";
   let acc_st = ref [] and acc_plaid_local = ref [] and acc_plaid_global = ref [] in
   let rows = ref [] in
   List.iter
     (fun e ->
+      (* the utilization of one resource class: the classes averaged below
+         are what constitutes "the router" on each fabric *)
       let comm_util m =
         let u = Plaid_mapping.Mapping.utilization m in
-        let pick cls = match List.assoc_opt cls u with Some v -> Some v | None -> None in
-        (pick, u)
+        fun cls -> List.assoc_opt cls u
       in
       match (Ctx.map ctx Fabrics.St e, Ctx.map ctx Fabrics.Plaid e) with
       | Some st, Some plaid ->
-        let pick_st, _ = comm_util st and pick_pl, _ = comm_util plaid in
+        let pick_st = comm_util st and pick_pl = comm_util plaid in
         let avg vals =
           let vals = List.filter_map (fun x -> x) vals in
           List.fold_left ( +. ) 0.0 vals /. float_of_int (max 1 (List.length vals))
@@ -406,7 +397,6 @@ let utilization ctx =
   Ascii.printf
     "\nmean utilization: ST crossbar %s; Plaid local router %s; Plaid global network %s\n"
     (Ascii.pct st_m) (Ascii.pct lo_m) (Ascii.pct gl_m);
-  ignore comm_classes;
   [ ("st_comm_util", st_m); ("plaid_local_util", lo_m); ("plaid_global_util", gl_m) ]
 
 (* --- ablations -------------------------------------------------------- *)

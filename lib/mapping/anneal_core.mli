@@ -1,13 +1,42 @@
-(** The annealing loop shared by the simulated-annealing mapper ({!Anneal})
-    and the hierarchical mapper ([Plaid_core.Hier_mapper]).
+(** The annealer shared by the simulated-annealing mapper ({!Anneal}) and
+    the hierarchical mapper ([Plaid_core.Hier_mapper]).
 
     Both anneal placement and timing over a {!Route_table.t}.  One move is
     one transaction: release the edges the move touches, apply it, re-route
     those edges, then keep it by the Metropolis test or roll everything
-    back.  Only the move proposals differ between the two mappers; the
-    transaction, the accept test, the plateau-aborting temperature loop and
-    the validating restart loop live here, once.  Deterministic given the
-    RNG. *)
+    back.  The state record, the node moves, the transaction, the accept
+    test, the plateau-aborting temperature loop and the validating restart
+    loop live here, once; each mapper keeps its initial placement, its draw
+    order and any move of its own.  Deterministic given the RNG. *)
+
+type state = {
+  arch : Plaid_arch.Arch.t;
+  g : Plaid_ir.Dfg.t;
+  ii : int;
+  mrrg : Mrrg.t;
+  times : int array;  (** node -> cycle *)
+  place : int array;  (** node -> FU *)
+  table : Route_table.t;  (** the edges' routes over [mrrg], [times] and [place] *)
+}
+
+val to_mapping : state -> Mapping.t
+(** Copies the current timing, placement and routes out of the state. *)
+
+val swap : state -> int -> int -> rng:Plaid_util.Rng.t -> temp:float -> bool
+(** [swap st v w] exchanges the FUs of nodes [v] and [w] as one {!try_move}
+    over their edges, or returns [false] without one when that is not
+    legal (same node or FU, an unsupported op, a taken slot). *)
+
+val move : state -> int -> earliest:int -> rng:Plaid_util.Rng.t -> temp:float -> bool
+(** [move st v ~earliest] draws whether to retime node [v] (within its
+    {!Schedule.slack}, two cycles of its time and not before [earliest])
+    or re-place it (on a {!Greedy.compatible_fus} FU), and proposes that
+    as one {!try_move} over [v]'s edges; [false] without one when nothing
+    changes or the target FU slot is taken.
+
+    SA passes [min_int]: slack may reach below cycle 0, and Fig 18's SA
+    mapping of seidel on plaid_2x2 has a node at cycle [-1].  The
+    hierarchical mapper passes [0], the floor its motif anchors keep. *)
 
 val try_move :
   Route_table.t ->

@@ -251,7 +251,6 @@ let repair ?pool ~algo ~arch ~mapping:(m : Mapping.t) ~seed () =
        total Manhattan distance to already-placed neighbours (ties on the
        lower resource id), and a candidate is accepted only if every
        incident edge whose other endpoint is placed routes exactly. *)
-    let manhattan (r1, c1) (r2, c2) = abs (r1 - r2) + abs (c1 - c2) in
     let rerouted = ref 0 in
     for v = 0 to n - 1 do
       if displaced.(v) then begin
@@ -266,7 +265,7 @@ let repair ?pool ~algo ~arch ~mapping:(m : Mapping.t) ~seed () =
             (fun acc (e : Dfg.edge) ->
               let other = if e.dst = v then e.src else e.dst in
               if other <> v && placed.(other) then
-                acc + manhattan tile (Plaid_arch.Arch.resource arch place.(other)).tile
+                acc + Greedy.manhattan tile (Plaid_arch.Arch.resource arch place.(other)).tile
               else acc)
             0 incident
         in

@@ -11,5 +11,8 @@ val initial_place :
 (** Returns the node -> FU assignment (and records it in the MRRG), or
     [None] if some node has no compatible free slot. *)
 
+val manhattan : int * int -> int * int -> int
+(** Manhattan distance between two [(row, col)] tiles. *)
+
 val compatible_fus : Mrrg.t -> Plaid_ir.Dfg.t -> node:int -> slot:int -> int list
 (** FUs that support the node's op and are free at [slot]. *)

@@ -67,22 +67,24 @@ let blocked t ~res ~slot = t.blocked.(res).(eff_slot t slot)
 
 let presence_of c = List.length c.signals + match c.exec with Some _ -> 1 | None -> 0
 
-(* Every occupancy mutation is funneled through [mutating], which keeps the
-   O(1) overuse counter and the overused-cell set exact whatever the
-   before/after presences are. *)
-let mutating t ~res ~slot f =
-  let eff = eff_slot t slot in
-  let c = t.cells.(res).(eff) in
-  let before = presence_of c in
-  f c;
+(* Every occupancy mutation ends in [account], which keeps the O(1)
+   overuse counter and the overused-cell set exact whatever the
+   before/after presences of the cell [c] at ([res], [slot]) are. *)
+let account t ~res ~slot c ~before =
   let after = presence_of c in
   if after <> before then begin
     let over p = if p > 1 then p - 1 else 0 in
     t.ov_total <- t.ov_total + over after - over before;
-    let idx = (res * slots t) + eff in
+    let idx = cell_index t ~res ~slot in
     if after >= 2 then (if before < 2 then Hashtbl.replace t.ov_cells idx ())
     else if before >= 2 then Hashtbl.remove t.ov_cells idx
   end
+
+let mutating t ~res ~slot f =
+  let c = cell t res slot in
+  let before = presence_of c in
+  f c;
+  account t ~res ~slot c ~before
 
 let is_empty c = match (c.exec, c.signals) with None, [] -> true | _ -> false
 
@@ -118,23 +120,29 @@ let can_use t ~res ~slot signal =
      | None, [ (s, _) ] -> same_signal s signal
      | _ -> false
 
+(* [occupy] and [release] run once per path hop; they update the signal
+   list directly, so neither allocates a closure. *)
+let rec bump signal = function
+  | [] -> [ (signal, 1) ]
+  | (s, n) :: rest when same_signal s signal -> (s, n + 1) :: rest
+  | sn :: rest -> sn :: bump signal rest
+
+let rec drop signal = function
+  | [] -> invalid_arg "Mrrg.release: signal not present"
+  | (s, n) :: rest when same_signal s signal -> if n = 1 then rest else (s, n - 1) :: rest
+  | sn :: rest -> sn :: drop signal rest
+
 let occupy t ~res ~slot signal =
-  mutating t ~res ~slot (fun c ->
-      let rec bump = function
-        | [] -> [ (signal, 1) ]
-        | (s, n) :: rest when same_signal s signal -> (s, n + 1) :: rest
-        | sn :: rest -> sn :: bump rest
-      in
-      c.signals <- bump c.signals)
+  let c = cell t res slot in
+  let before = presence_of c in
+  c.signals <- bump signal c.signals;
+  account t ~res ~slot c ~before
 
 let release t ~res ~slot signal =
-  mutating t ~res ~slot (fun c ->
-      let rec drop = function
-        | [] -> invalid_arg "Mrrg.release: signal not present"
-        | (s, n) :: rest when same_signal s signal -> if n = 1 then rest else (s, n - 1) :: rest
-        | sn :: rest -> sn :: drop rest
-      in
-      c.signals <- drop c.signals)
+  let c = cell t res slot in
+  let before = presence_of c in
+  c.signals <- drop signal c.signals;
+  account t ~res ~slot c ~before
 
 let presence t ~res ~slot = presence_of (cell t res slot)
 

@@ -19,9 +19,6 @@ let default =
 
 let quick = { max_iters = 30; history_increment = 0.8; present_factor_step = 0.6; replace_after = 5 }
 
-
-let manhattan (r1, c1) (r2, c2) = abs (r1 - r2) + abs (c1 - c2)
-
 (* Hottest over-subscribed cell; ties keep the smallest (res, slot), which
    [Mrrg.overused_cells]'s sort order gives for free. *)
 let most_contested mrrg =
@@ -57,7 +54,7 @@ let replace_towards mrrg g ~place ~node ~slot ~other_tile ~budget ~touch ~rng =
   | [] -> Mrrg.place_node mrrg ~node ~fu:place.(node) ~slot
   | _ ->
     let score fu =
-      let d = manhattan (Plaid_arch.Arch.resource arch fu).tile other_tile in
+      let d = Greedy.manhattan (Plaid_arch.Arch.resource arch fu).tile other_tile in
       (abs (d - budget), Plaid_util.Rng.int rng 1000)
     in
     let best =

@@ -101,14 +101,16 @@ let slack g ~times ~ii ~node =
   (* incoming edges bound this node from below; outgoing from above. *)
   List.iter
     (fun (e : Dfg.edge) ->
-      if e.src <> node then lo := max !lo (times.(e.src) + 1 - (e.dist * ii)))
+      let b = times.(e.src) + 1 - (e.dist * ii) in
+      if e.src <> node && b > !lo then lo := b)
     (Dfg.preds g node);
   List.iter
     (fun (e : Dfg.edge) ->
-      if e.dst <> node then hi := min !hi (times.(e.dst) - 1 + (e.dist * ii)))
+      let b = times.(e.dst) - 1 + (e.dist * ii) in
+      if e.dst <> node && b < !hi then hi := b)
     (Dfg.succs g node);
   (* a self-loop (accumulator) pins nothing: dist*ii >= 1 always holds when
      ii >= RecMII, independent of the node's absolute time. *)
   let lo = if !lo = min_int then 0 else !lo in
   let hi = if !hi = max_int then lo + (4 * ii) else !hi in
-  (lo, max lo hi)
+  (lo, if hi > lo then hi else lo)

@@ -20,19 +20,12 @@ type outcome = { mapping : Mapping.t option; hier : Motif_gen.hier; mii : int }
 type mplace = { mutable m_pcu : int; mutable m_tmpl : Templates.t; mutable m_anchor : int }
 
 type state = {
+  core : Anneal_core.state;
   plaid : Pcu.t;
-  g : Dfg.t;
-  ii : int;
   prm : params;
   hier : Motif_gen.hier;
-  mrrg : Mrrg.t;
-  times : int array;
-  place : int array;
-  table : Route_table.t;
   mplaces : mplace array;
 }
-
-let arch st = st.plaid.Pcu.arch
 
 (* --- motif placement ------------------------------------------------- *)
 
@@ -50,15 +43,15 @@ let motif_slots st mi ~pcu ~tmpl ~anchor =
 let can_place_motif st mi ~pcu ~tmpl ~anchor =
   anchor >= 0
   && List.for_all
-       (fun (_, alu, t) -> Mrrg.fu_free st.mrrg ~fu:alu ~slot:(Schedule.slot ~ii:st.ii t))
+       (fun (_, alu, t) -> Mrrg.fu_free st.core.mrrg ~fu:alu ~slot:(Schedule.slot ~ii:st.core.ii t))
        (motif_slots st mi ~pcu ~tmpl ~anchor)
 
 let place_motif st mi ~pcu ~tmpl ~anchor =
   List.iter
     (fun (v, alu, t) ->
-      Mrrg.place_node st.mrrg ~node:v ~fu:alu ~slot:(Schedule.slot ~ii:st.ii t);
-      st.place.(v) <- alu;
-      st.times.(v) <- t)
+      Mrrg.place_node st.core.mrrg ~node:v ~fu:alu ~slot:(Schedule.slot ~ii:st.core.ii t);
+      st.core.place.(v) <- alu;
+      st.core.times.(v) <- t)
     (motif_slots st mi ~pcu ~tmpl ~anchor);
   let mp = st.mplaces.(mi) in
   mp.m_pcu <- pcu;
@@ -66,15 +59,15 @@ let place_motif st mi ~pcu ~tmpl ~anchor =
   mp.m_anchor <- anchor
 
 let unplace_motif st mi =
-  let m = st.hier.Motif_gen.motifs.(mi) in
+  let m = st.hier.Motif_gen.motifs.(mi) and c = st.core in
   List.iter
     (fun v ->
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:st.place.(v) ~slot:(Schedule.slot ~ii:st.ii st.times.(v)))
+      Mrrg.unplace_node c.mrrg ~node:v ~fu:c.place.(v) ~slot:(Schedule.slot ~ii:c.ii c.times.(v)))
     (Motif.nodes m)
 
 let motif_edges st mi =
   let m = st.hier.Motif_gen.motifs.(mi) in
-  List.concat_map (fun v -> Route_table.incident st.table v) (Motif.nodes m)
+  List.concat_map (fun v -> Route_table.incident st.core.table v) (Motif.nodes m)
   |> List.sort_uniq compare
 
 (* --- initial placement ------------------------------------------------ *)
@@ -84,8 +77,8 @@ let pcu_load st pcu =
   let used = ref 0 in
   Array.iter
     (fun alu ->
-      for s = 0 to st.ii - 1 do
-        if not (Mrrg.fu_free st.mrrg ~fu:alu ~slot:s) then incr used
+      for s = 0 to st.core.ii - 1 do
+        if not (Mrrg.fu_free st.core.mrrg ~fu:alu ~slot:s) then incr used
       done)
     p.Pcu.alus;
   !used
@@ -112,7 +105,7 @@ let try_place_motif_somewhere st mi ~base ~rng =
             |> List.fold_left max 0
           in
           let rec over_anchor d =
-            if d >= st.ii then over_tmpls more
+            if d >= st.core.ii then over_tmpls more
             else if can_place_motif st mi ~pcu ~tmpl ~anchor:(anchor0 + d) then begin
               place_motif st mi ~pcu ~tmpl ~anchor:(anchor0 + d);
               true
@@ -126,19 +119,14 @@ let try_place_motif_somewhere st mi ~base ~rng =
   over_pcus pcus
 
 let try_place_standalone st v ~base ~rng =
-  let op = (Dfg.node st.g v).op in
+  let op = (Dfg.node st.core.g v).op in
   let memory_node = Op.is_memory op || op = Op.Input in
-  let a = arch st in
   let rec try_time d =
-    if d >= st.ii then false
+    if d >= st.core.ii then false
     else begin
       let t = base.(v) + d in
-      let slot = Schedule.slot ~ii:st.ii t in
-      let all =
-        Array.to_list a.Plaid_arch.Arch.fus
-        |> List.filter (fun fu ->
-               Plaid_arch.Arch.fu_supports a fu op && Mrrg.fu_free st.mrrg ~fu ~slot)
-      in
+      let slot = Schedule.slot ~ii:st.core.ii t in
+      let all = Greedy.compatible_fus st.core.mrrg st.core.g ~node:v ~slot in
       (* compute nodes keep off the scarce memory-capable FUs when possible *)
       let preferred =
         if memory_node then all
@@ -146,7 +134,7 @@ let try_place_standalone st v ~base ~rng =
           match
             List.filter
               (fun fu ->
-                match (Plaid_arch.Arch.resource a fu).kind with
+                match (Plaid_arch.Arch.resource st.core.arch fu).kind with
                 | Plaid_arch.Arch.Fu c -> not c.Plaid_arch.Arch.fu_memory
                 | _ -> false)
               all
@@ -158,9 +146,9 @@ let try_place_standalone st v ~base ~rng =
       | [] -> try_time (d + 1)
       | l ->
         let fu = List.nth l (Plaid_util.Rng.int rng (List.length l)) in
-        Mrrg.place_node st.mrrg ~node:v ~fu ~slot;
-        st.place.(v) <- fu;
-        st.times.(v) <- t;
+        Mrrg.place_node st.core.mrrg ~node:v ~fu ~slot;
+        st.core.place.(v) <- fu;
+        st.core.times.(v) <- t;
         true
     end
   in
@@ -180,7 +168,8 @@ let init_state ?(params = default) plaid g hier ~ii ~base ~rng =
   (* The route table only tracks edges; creating it before placement is
      fine, as long as routing starts after every node is placed. *)
   let table = Route_table.create mrrg g ~times ~place in
-  let st = { plaid; g; ii; prm = params; hier; mrrg; times; place; table; mplaces } in
+  let core = { Anneal_core.arch = plaid.Pcu.arch; g; ii; mrrg; times; place; table } in
+  let st = { core; plaid; prm = params; hier; mplaces } in
   (* Sort motifs by earliest member base time: data-dependency order. *)
   let order =
     Array.to_list (Array.mapi (fun i m -> (i, m)) hier.Motif_gen.motifs)
@@ -201,98 +190,11 @@ let init_state ?(params = default) plaid g hier ~ii ~base ~rng =
   in
   if not ok then None
   else begin
-    Route_table.route_all st.table;
+    Route_table.route_all st.core.table;
     Some st
   end
 
 (* --- annealing moves --------------------------------------------------- *)
-
-let standalone_move st v ~rng ~temp =
-  let a = arch st in
-  let old_fu = st.place.(v) and old_t = st.times.(v) in
-  let old_slot = Schedule.slot ~ii:st.ii old_t in
-  let retime = Plaid_util.Rng.int rng 2 = 0 in
-  let new_fu, new_t =
-    if retime then begin
-      let lo, hi = Schedule.slack st.g ~times:st.times ~ii:st.ii ~node:v in
-      let lo = max 0 (max lo (old_t - 2)) and hi = min hi (old_t + 2) in
-      if hi <= lo then (old_fu, old_t)
-      else (old_fu, lo + Plaid_util.Rng.int rng (hi - lo + 1))
-    end
-    else begin
-      Mrrg.unplace_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-      let op = (Dfg.node st.g v).op in
-      let cands =
-        Array.to_list a.Plaid_arch.Arch.fus
-        |> List.filter (fun fu ->
-               Plaid_arch.Arch.fu_supports a fu op && Mrrg.fu_free st.mrrg ~fu ~slot:old_slot)
-      in
-      Mrrg.place_node st.mrrg ~node:v ~fu:old_fu ~slot:old_slot;
-      match cands with
-      | [] -> (old_fu, old_t)
-      | l -> (List.nth l (Plaid_util.Rng.int rng (List.length l)), old_t)
-    end
-  in
-  let new_slot = Schedule.slot ~ii:st.ii new_t in
-  let put ~fu_from ~slot_from ~fu ~slot ~t =
-    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_from ~slot:slot_from;
-    Mrrg.place_node st.mrrg ~node:v ~fu ~slot;
-    st.place.(v) <- fu;
-    st.times.(v) <- t
-  in
-  (new_fu <> old_fu || new_t <> old_t)
-  && ((new_fu = old_fu && new_slot = old_slot) || Mrrg.fu_free st.mrrg ~fu:new_fu ~slot:new_slot)
-  && Anneal_core.try_move st.table ~edges:(Route_table.incident st.table v)
-       ~apply:(fun () ->
-         put ~fu_from:old_fu ~slot_from:old_slot ~fu:new_fu ~slot:new_slot ~t:new_t;
-         true)
-       ~undo:(fun () ->
-         put ~fu_from:new_fu ~slot_from:new_slot ~fu:old_fu ~slot:old_slot ~t:old_t)
-       ~rng ~temp
-
-(* Swap the FUs of two standalone nodes — same escape hatch as the baseline
-   annealer's swap move; motif members move via their motif instead. *)
-let standalone_swap st v w ~rng ~temp =
-  let a = arch st in
-  let fu_v = st.place.(v) and fu_w = st.place.(w) in
-  if
-    v <> w
-    && st.hier.Motif_gen.owner.(v) = -1
-    && st.hier.Motif_gen.owner.(w) = -1
-    && fu_v <> fu_w
-    && Plaid_arch.Arch.fu_supports a fu_w (Dfg.node st.g v).op
-    && Plaid_arch.Arch.fu_supports a fu_v (Dfg.node st.g w).op
-  then begin
-    let sl_v = Schedule.slot ~ii:st.ii st.times.(v) in
-    let sl_w = Schedule.slot ~ii:st.ii st.times.(w) in
-    let put ~fv ~fw =
-      Mrrg.place_node st.mrrg ~node:v ~fu:fv ~slot:sl_v;
-      Mrrg.place_node st.mrrg ~node:w ~fu:fw ~slot:sl_w;
-      st.place.(v) <- fv;
-      st.place.(w) <- fw
-    in
-    Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_v ~slot:sl_v;
-    Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_w ~slot:sl_w;
-    if Mrrg.fu_free st.mrrg ~fu:fu_w ~slot:sl_v && Mrrg.fu_free st.mrrg ~fu:fu_v ~slot:sl_w
-    then
-      Anneal_core.try_move st.table
-        ~edges:
-          (List.sort_uniq compare
-             (Route_table.incident st.table v @ Route_table.incident st.table w))
-        ~apply:(fun () ->
-          put ~fv:fu_w ~fw:fu_v;
-          true)
-        ~undo:(fun () ->
-          Mrrg.unplace_node st.mrrg ~node:v ~fu:fu_w ~slot:sl_v;
-          Mrrg.unplace_node st.mrrg ~node:w ~fu:fu_v ~slot:sl_w;
-          put ~fv:fu_v ~fw:fu_w)
-        ~rng ~temp
-    else begin
-      put ~fv:fu_v ~fw:fu_w;
-      false
-    end
-  end
-  else false
 
 (* Re-place a motif at one of 8 drawn (PCU, template, anchor) candidates.
    When none fits, the motif goes back to its old spot and the move is
@@ -313,7 +215,7 @@ let motif_move st mi ~rng ~temp =
     end
   in
   let restore () = place_motif st mi ~pcu:opcu ~tmpl:otmpl ~anchor:oanchor in
-  Anneal_core.try_move st.table ~edges:(motif_edges st mi)
+  Anneal_core.try_move st.core.table ~edges:(motif_edges st mi)
     ~apply:(fun () ->
       unplace_motif st mi;
       match draw 8 with
@@ -328,10 +230,6 @@ let motif_move st mi ~rng ~temp =
       restore ())
     ~rng ~temp
 
-let to_mapping st =
-  { Mapping.arch = arch st; dfg = st.g; ii = st.ii; times = Array.copy st.times;
-    place = Array.copy st.place; routes = Route_table.routes st.table }
-
 let run_once ?(params = default) plaid g hier ~ii ~base ~rng =
   match Explain.phase "place" (fun () -> init_state ~params plaid g hier ~ii ~base ~rng) with
   | None -> None
@@ -342,16 +240,19 @@ let run_once ?(params = default) plaid g hier ~ii ~base ~rng =
       let v = Plaid_util.Rng.int rng n in
       ignore
         (match st.hier.Motif_gen.owner.(v) with
-        | -1 ->
-          if Plaid_util.Rng.int rng 4 = 0 then
-            standalone_swap st v (Plaid_util.Rng.int rng n) ~rng ~temp
-          else standalone_move st v ~rng ~temp
+        | -1 -> (
+          match Plaid_util.Rng.int rng 4 with
+          | 0 ->
+            (* motif members move with their motif, never by a swap *)
+            let w = Plaid_util.Rng.int rng n in
+            st.hier.Motif_gen.owner.(w) = -1 && Anneal_core.swap st.core v w ~rng ~temp
+          | _ -> Anneal_core.move st.core v ~earliest:0 ~rng ~temp)
         | mi -> motif_move st mi ~rng ~temp)
     in
     ignore
-      (Anneal_core.run st.table ~iterations:params.iterations ~t_start:params.t_start
+      (Anneal_core.run st.core.table ~iterations:params.iterations ~t_start:params.t_start
          ~t_decay:params.t_decay ~step);
-    if Route_table.unrouted st.table = 0 then Some (to_mapping st) else None
+    if Route_table.unrouted st.core.table = 0 then Some (Anneal_core.to_mapping st.core) else None
 
 (* --- II-1 port bound ---------------------------------------------------- *)
 

@@ -3,7 +3,8 @@
     The Plaid mapper augments simulated annealing with motif-granularity
     scheduling: a motif occupies the three ALUs of one PCU according to a
     schedule template (placement variable = PCU x template x anchor cycle);
-    standalone and memory nodes place individually like the baseline SA.
+    standalone and memory nodes place individually with the baseline SA's
+    node moves ({!Plaid_mapping.Anneal_core.move} and [swap]).
     Internal motif dependencies then route through the PCU's local router or
     bypass wires, and inter-motif traffic rides the global conveyor belt —
     both fall out of the unified exact-latency router over the Plaid

@@ -82,6 +82,12 @@ let golden_sa =
     ("gesummv_u2", Plaid_mapping.Anneal.default, "4c275a6138e59788eafa696953cac6a7");
     ("conv3x3", Plaid_mapping.Anneal.quick, "d41d8cd98f00b204e9800998ecf8427e") ]
 
+(* Fig 18's SA mapping of seidel on plaid_2x2 ([Ctx.map_plaid_generic ctx
+   `Sa] at the default seed).  SA retimes a node of it to cycle -1, so this
+   pins that SA's retime window has no floor at cycle 0, unlike the
+   hierarchical mapper's. *)
+let golden_plaid_sa = ("seidel", "a0d6e7a23473146641aa33d9b10bcc97")
+
 let blob_md5 m =
   Digest.to_hex
     (Digest.string (match m with None -> "" | Some m -> Plaid_mapping.Mapfile.to_string m))
@@ -115,7 +121,13 @@ let check_golden_digests pool =
     (fun (kernel, want) ->
       expect "Ctx.map st" kernel want
         (blob_md5 (Plaid_exp.Ctx.map ctx St (Plaid_workloads.Suite.find kernel))))
-    golden_map_st
+    golden_map_st;
+  let kernel, want = golden_plaid_sa in
+  let m = Plaid_exp.Ctx.map_plaid_generic ctx `Sa (Plaid_workloads.Suite.find kernel) in
+  expect "Ctx.map_plaid_generic sa" kernel want (blob_md5 m);
+  match m with
+  | Some m when Array.exists (fun t -> t < 0) m.Plaid_mapping.Mapping.times -> ()
+  | _ -> fail "Ctx.map_plaid_generic sa(%s) has no node before cycle 0 (-j %d)" kernel jobs
 
 (* --------------------------------------------------- experiment identity *)
 
